@@ -5,7 +5,8 @@ maximum), kernel (instance shrinking), verify (check a coloring file),
 approx (matching-based lower-bound coloring), gen (instance generators).
 
 Exit codes: 0 yes or success, 1 no or invalid, 2 usage or format error,
-3 refusal (oracle edge limit, four-cycle precondition). The first stdout
+3 refusal (oracle edge limit, four-cycle precondition), 4 internal error
+(one line on stderr, never a verdict). The first stdout
 line of every command is stable: "YES k=<k>", "NO", "sigma=<s>",
 "VALID colors=<c>", "INVALID", "REDUCED n=<n> m=<m> k=<k>", or
 "APPROX k=<k>". File arguments accept "-" for stdin or stdout. The
@@ -45,6 +46,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+EXIT_INTERNAL = 4
 
 
 def main() -> None:
@@ -66,6 +68,11 @@ def run(argv=None) -> int:
     except (FormatError, GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a bug or a resource limit (say, recursion depth) must not pass for
+        # a verdict: exit 1 already means NO or INVALID
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="shrink with the standard kernel first (k >= 2), lift the witness back",
     )
-    solve.add_argument("--threads", type=int, default=1, help="parallel palette guesses")
     solve.add_argument("-o", "--out", help="witness coloring file (default: stdout)")
     solve.add_argument("graph", nargs="?", default="-", help="graph file or - for stdin")
     solve.set_defaults(handler=_cmd_solve)
@@ -187,8 +193,6 @@ def _load_plain(path: str) -> Graph:
 
 
 def _cmd_solve(args) -> int:
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     g = _load_plain(args.graph)
     k = args.k
     if args.kernelize and k >= 2:
@@ -201,7 +205,7 @@ def _cmd_solve(args) -> int:
             print(f"YES k={k}")
             _write(args.out, render_coloring(g, verdict.witness))
             return EXIT_YES
-        res = solve_exact(verdict.graph, k, threads=args.threads)
+        res = solve_exact(verdict.graph, k)
         if not res.yes:
             print("NO")
             return EXIT_NO
@@ -209,7 +213,7 @@ def _cmd_solve(args) -> int:
         print(f"YES k={k}")
         _write(args.out, render_coloring(g, witness))
         return EXIT_YES
-    res = solve_exact(g, k, threads=args.threads)
+    res = solve_exact(g, k)
     if not res.yes:
         print("NO")
         return EXIT_NO

@@ -58,11 +58,7 @@ def load_instance(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     edges: list[tuple[int, int]] = []
     edge_lines: set[tuple[int, int]] = set()
     caps: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        fields = line.split()
+    for lineno, line, fields in _lines(text):
         if fields[0] == "p":
             if n is not None:
                 raise FormatError(lineno, "duplicate problem line")
@@ -72,20 +68,7 @@ def load_instance(text: str) -> tuple[Graph, tuple[int, ...] | None]:
             if n < 0 or m < 0:
                 raise FormatError(lineno, "negative counts in problem line")
         elif fields[0] == "e":
-            if n is None:
-                raise FormatError(lineno, "edge line before problem line")
-            if len(fields) != 3:
-                raise FormatError(lineno, f"malformed edge line {line!r}")
-            u, v = _int(fields[1], lineno), _int(fields[2], lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FormatError(lineno, f"vertex id out of range in {line!r}")
-            if u == v:
-                raise FormatError(lineno, f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in edge_lines:
-                raise FormatError(lineno, f"duplicate edge ({key[0]}, {key[1]})")
-            edge_lines.add(key)
-            edges.append((u - 1, v - 1))
+            edges.append(_edge(lineno, line, fields, n, edge_lines))
         elif fields[0] == "f":
             if n is None:
                 raise FormatError(lineno, "capacity line before problem line")
@@ -138,11 +121,7 @@ def render_coloring(g: Graph, coloring: EdgeColoring) -> str:
 def load_coloring(text: str, g: Graph) -> EdgeColoring:
     k = None
     assigned: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        fields = line.split()
+    for lineno, line, fields in _lines(text):
         if fields[0] == "s":
             if k is not None:
                 raise FormatError(lineno, "duplicate solution line")
@@ -182,8 +161,39 @@ def load_coloring(text: str, g: Graph) -> EdgeColoring:
     return EdgeColoring(colors)
 
 
+def _lines(text: str):
+    """Yield ``(lineno, line, fields)`` for every line that is neither blank
+    nor a comment; ``lineno`` is 1-based and ``line`` is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line == "c" or line.startswith("c "):
+            continue
+        yield lineno, line, line.split()
+
+
 def _int(token: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
         raise FormatError(lineno, f"expected integer, got {token!r}") from None
+
+
+def _edge(lineno: int, line: str, fields, n: int | None,
+          seen: set[tuple[int, int]]) -> tuple[int, int]:
+    """Check an ``e <u> <v>`` line against the declared vertex count n
+    (None before the problem line) and the edges in ``seen``, which it
+    extends; returns the 0-based endpoints."""
+    if n is None:
+        raise FormatError(lineno, "edge line before problem line")
+    if len(fields) != 3:
+        raise FormatError(lineno, f"malformed edge line {line!r}")
+    u, v = _int(fields[1], lineno), _int(fields[2], lineno)
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise FormatError(lineno, f"vertex id out of range in {line!r}")
+    if u == v:
+        raise FormatError(lineno, f"self-loop at vertex {u}")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise FormatError(lineno, f"duplicate edge ({key[0]}, {key[1]})")
+    seen.add(key)
+    return u - 1, v - 1

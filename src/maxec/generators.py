@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .formats import FormatError
+from .formats import FormatError, _edge, _int, _lines
 from .graphs import Graph, GraphError, ValidityProfile
 from .kernels import has_c4
 
@@ -221,11 +221,7 @@ def load_mcis(text: str) -> MCISInstance:
     labels: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     edge_lines: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        fields = line.split()
+    for lineno, line, fields in _lines(text):
         if fields[0] == "p":
             if header is not None:
                 raise FormatError(lineno, "duplicate problem line")
@@ -249,20 +245,8 @@ def load_mcis(text: str) -> MCISInstance:
                 raise FormatError(lineno, f"duplicate class line for vertex {v}")
             labels[v - 1] = c - 1
         elif fields[0] == "e":
-            if header is None:
-                raise FormatError(lineno, "edge line before problem line")
-            if len(fields) != 3:
-                raise FormatError(lineno, f"malformed edge line {line!r}")
-            u, v = _int(fields[1], lineno), _int(fields[2], lineno)
-            if not (1 <= u <= header[0] and 1 <= v <= header[0]):
-                raise FormatError(lineno, f"vertex id out of range in {line!r}")
-            if u == v:
-                raise FormatError(lineno, f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in edge_lines:
-                raise FormatError(lineno, f"duplicate edge ({key[0]}, {key[1]})")
-            edge_lines.add(key)
-            edges.append((u - 1, v - 1))
+            n = None if header is None else header[0]
+            edges.append(_edge(lineno, line, fields, n, edge_lines))
         else:
             raise FormatError(lineno, f"unrecognized line {line!r}")
     if header is None:
@@ -280,10 +264,3 @@ def load_mcis(text: str) -> MCISInstance:
         return MCISInstance(Graph(n, edges), parts)
     except (GraphError, ValueError) as exc:
         raise FormatError(None, str(exc)) from exc
-
-
-def _int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(lineno, f"expected an integer, got {token!r}") from None

@@ -109,18 +109,6 @@ def neighborhood_classes(g: Graph, cover) -> tuple[NeighborhoodClass, ...]:
     )
 
 
-def _compact(g: Graph, deleted: set[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph on the surviving vertices with contiguous ids."""
-    keep = [v for v in range(g.n) if v not in deleted]
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if u not in deleted and v not in deleted
-    ]
-    return Graph(len(keep), edges), tuple(keep)
-
-
 def kernelize_standard(g: Graph, k: int) -> KernelResult:
     """Bound every neighborhood class outside the cover.
 
@@ -146,7 +134,7 @@ def kernelize_standard(g: Graph, k: int) -> KernelResult:
             deleted.add(v)
             actions.append(("del", v, twin))
     actions.sort(key=lambda a: a[1])
-    reduced, vmap = _compact(g, deleted)
+    reduced, vmap = g.without_vertices(deleted)
     return KernelResult(Reduced(reduced, k), Lifting(vmap, tuple(actions)))
 
 
@@ -204,7 +192,7 @@ def kernelize_c4free(g: Graph, k: int) -> KernelResult:
             deleted.add(v)
             actions.append(("del", v, None))
     actions.sort(key=lambda a: a[1])
-    reduced, vmap = _compact(g, deleted)
+    reduced, vmap = g.without_vertices(deleted)
     return KernelResult(Reduced(reduced, k), Lifting(vmap, tuple(actions)))
 
 

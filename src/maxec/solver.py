@@ -10,7 +10,7 @@ the edges crossing the cut, which is decided through per-vertex candidate
 lists, forcing, bounded branching, and a final bipartite matching between
 leftover colors and flexible cut vertices.
 
-Color sets are bitmasks internally; the public wrappers speak frozensets.
+Color sets are bitmasks throughout, bit c standing for color c.
 
 Key facts the implementation leans on (each argued where used):
 
@@ -26,9 +26,7 @@ Key facts the implementation leans on (each argued where used):
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from threading import Event, Lock
+from dataclasses import dataclass
 
 from .graphs import EdgeColoring, Graph, is_two_factor, verify_coloring
 from .matching import Continue, ForcedNo, ForcedYes, matching_preprocess
@@ -48,48 +46,12 @@ class SolveStats:
     across_branch_events: int = 0
     across_branch_max_width: int = 0
 
-    def merge(self, other: "SolveStats") -> None:
-        self.palettes += other.palettes
-        self.x_guesses += other.x_guesses
-        self.top_branch_events += other.top_branch_events
-        self.top_branch_max_width = max(
-            self.top_branch_max_width, other.top_branch_max_width
-        )
-        self.across_branch_events += other.across_branch_events
-        self.across_branch_max_width = max(
-            self.across_branch_max_width, other.across_branch_max_width
-        )
-
 
 @dataclass(frozen=True)
 class SolveResult:
     yes: bool
     witness: EdgeColoring | None
     stats: SolveStats
-
-
-@dataclass(frozen=True)
-class PaletteAssignment:
-    """Color set (size 1 or 2) for each vertex of the cover."""
-
-    tau: dict[int, frozenset[int]]
-
-    def __post_init__(self):
-        for v, colors in self.tau.items():
-            if not 1 <= len(colors) <= 2:
-                raise ValueError(f"palette of vertex {v} must have size 1 or 2")
-            if any(c < 0 for c in colors):
-                raise ValueError("colors must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """Progress of one guess: partial cover coloring, unconsumed budget X,
-    and the colors that must still appear on cut edges."""
-
-    partial: tuple[tuple[int, int], ...] = ()
-    x: frozenset[int] = frozenset()
-    remaining: frozenset[int] = frozenset()
 
 
 def _bits(mask: int):
@@ -103,32 +65,18 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _mask(colors) -> int:
-    out = 0
-    for c in colors:
-        out |= 1 << c
-    return out
+def _enum_tau_masks(g: Graph, order: tuple[int, ...], k: int):
+    """All palette assignments on the cover, one per color-relabeling orbit,
+    as tuples of color masks parallel to ``order``.
 
-
-def enumerate_palettes(g: Graph, S, k: int):
-    """All palette assignments on the cover, one per color-relabeling orbit.
-
-    Canonical form: scanning cover vertices in ascending id, a color index
-    may appear only after all smaller indices have appeared, and when two
-    colors are introduced together the first later set containing exactly
-    one of them must contain the smaller. Assignments are filtered to those
-    whose sets jointly cover all k colors and intersect on every cover edge.
+    Canonical form: scanning cover vertices in the given order, a color
+    index may appear only after all smaller indices have appeared, and when
+    two colors are introduced together the first later set containing
+    exactly one of them must contain the smaller. Assignments are filtered
+    to those whose sets jointly cover all k colors and intersect on every
+    cover edge, and a prefix is dropped as soon as some cut vertex whose
+    neighbors all lie in it has no candidate color set.
     """
-    order = tuple(sorted(S))
-    for masks in _enum_tau_masks(g, order, k, prune_hopeless=False):
-        yield PaletteAssignment(
-            {v: frozenset(_bits(masks[i])) for i, v in enumerate(order)}
-        )
-
-
-def _enum_tau_masks(g: Graph, order: tuple[int, ...], k: int,
-                    prune_hopeless: bool = True):
-    """Canonical palette enumeration as per-vertex bitmasks (see above)."""
     if k < 1:
         return
     index = {v: i for i, v in enumerate(order)}
@@ -141,12 +89,11 @@ def _enum_tau_masks(g: Graph, order: tuple[int, ...], k: int,
     # be checked for candidate existence early; group them by that prefix
     in_cover = set(order)
     ready_at = [[] for _ in range(len(order))]
-    if prune_hopeless:
-        for u in range(g.n):
-            if u in in_cover or g.degree(u) == 0:
-                continue
-            last = max(index[w] for _, w in g.adj[u])
-            ready_at[last].append(u)
+    for u in range(g.n):
+        if u in in_cover or g.degree(u) == 0:
+            continue
+        last = max(index[w] for _, w in g.adj[u])
+        ready_at[last].append(u)
     sets = [0] * len(order)
 
     def vertex_has_candidate(u: int) -> bool:
@@ -462,53 +409,7 @@ def _assemble(g: Graph, cov: _Cover, leaf, commits: dict[int, int]):
     return colors
 
 
-def check_top(g: Graph, S, tau, state: SearchState):
-    """Stream of completions of the cover coloring that consume exactly
-    the budget ``state.x``; each yielded state has all cover edges colored
-    and an empty budget. ``state.partial`` must be empty."""
-    if state.partial:
-        raise ValueError("cover coloring must start empty")
-    tau_masks = _tau_masks(tau)
-    k = max((c for s in tau_masks.values() for c in _bits(s)), default=-1) + 1
-    k = max(k, max(state.x, default=-1) + 1, max(state.remaining, default=-1) + 1)
-    cov = _Cover(g, tuple(sorted(S)), tau_masks, k)
-    stats = SolveStats()
-    for assigned, _ in _top_leaves(cov, _mask(state.x), stats):
-        partial = tuple(
-            (eid, assigned[i]) for i, (eid, _, _) in enumerate(cov.s_edges)
-        )
-        yield SearchState(partial, frozenset(), state.remaining)
-
-
-def check_across(g: Graph, S, tau, state: SearchState):
-    """Color the cut edges so every color in ``state.remaining`` appears,
-    extending the completed cover coloring in ``state.partial``. Returns
-    the full per-edge color tuple, or None."""
-    tau_masks = _tau_masks(tau)
-    k = max((c for s in tau_masks.values() for c in _bits(s)), default=-1) + 1
-    k = max(k, max(state.remaining, default=-1) + 1)
-    cov = _Cover(g, tuple(sorted(S)), tau_masks, k)
-    if cov.dead:
-        return None
-    commits = _across(cov, _mask(state.remaining), SolveStats())
-    if commits is None:
-        return None
-    leaf_assigned = [None] * len(cov.s_edges)
-    partial = dict(state.partial)
-    for i, (eid, _, _) in enumerate(cov.s_edges):
-        if eid not in partial:
-            raise ValueError(f"cover edge {eid} is uncolored")
-        leaf_assigned[i] = partial[eid]
-    colors = _assemble(g, cov, (leaf_assigned, 0), commits)
-    return tuple(colors)
-
-
-def _tau_masks(tau) -> dict[int, int]:
-    mapping = tau.tau if isinstance(tau, PaletteAssignment) else tau
-    return {v: _mask(colors) for v, colors in mapping.items()}
-
-
-def solve_exact(g: Graph, k: int, threads: int = 1) -> SolveResult:
+def solve_exact(g: Graph, k: int) -> SolveResult:
     """Decide whether some 2-valid coloring of g reaches k colors.
 
     Yes comes with a verified witness using exactly k colors (k >= 1; the
@@ -542,8 +443,6 @@ def solve_exact(g: Graph, k: int, threads: int = 1) -> SolveResult:
         return SolveResult(True, _checked(g, pre.witness, k), stats)
     assert isinstance(pre, Continue)
     cover = tuple(sorted(pre.cover))
-    if threads > 1:
-        return _search_parallel(g, k, cover, stats, threads)
     for tau_masks in _enum_tau_masks(g, cover, k):
         stats.palettes += 1
         colors = _try_palette(g, k, cover, dict(zip(cover, tau_masks)), stats)
@@ -552,15 +451,13 @@ def solve_exact(g: Graph, k: int, threads: int = 1) -> SolveResult:
     return SolveResult(False, None, stats)
 
 
-def _try_palette(g, k, cover, tau_masks, stats, flag: Event | None = None):
+def _try_palette(g, k, cover, tau_masks, stats):
     """All X guesses for one palette assignment; first witness wins."""
     cov = _Cover(g, cover, tau_masks, k)
     if cov.dead:
         return None
     positions = list(_bits(cov.union_allowed))
     for sub in range(1 << len(positions)):
-        if flag is not None and flag.is_set():
-            return None
         x_mask = 0
         for i, pos in enumerate(positions):
             if sub >> i & 1:
@@ -577,56 +474,6 @@ def _try_palette(g, k, cover, tau_masks, stats, flag: Event | None = None):
             continue
         return _assemble(g, cov, leaf, commits)
     return None
-
-
-def _search_parallel(g, k, cover, stats, threads):
-    """Palette guesses are independent; fan them out over a thread pool.
-
-    The verdict matches sequential mode; the witness may differ because
-    the first success to complete wins.
-    """
-    flag = Event()
-    lock = Lock()
-    winner: list = [None]
-
-    def work(tau_masks):
-        if flag.is_set():
-            return None
-        local = SolveStats()
-        local.palettes = 1
-        colors = _try_palette(g, k, cover, dict(zip(cover, tau_masks)), local, flag)
-        with lock:
-            stats.merge(local)
-        if colors is not None:
-            flag.set()
-            with lock:
-                if winner[0] is None:
-                    winner[0] = colors
-        return colors
-
-    gen = _enum_tau_masks(g, cover, k)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = set()
-        exhausted = False
-        while not exhausted or pending:
-            while not exhausted and len(pending) < 2 * threads:
-                tau_masks = next(gen, None)
-                if tau_masks is None:
-                    exhausted = True
-                    break
-                pending.add(pool.submit(work, tau_masks))
-            if not pending:
-                break
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            if winner[0] is not None:
-                for fut in pending:
-                    fut.cancel()
-                break
-        for fut in pending:
-            fut.cancel()
-    if winner[0] is not None:
-        return SolveResult(True, _checked(g, EdgeColoring(winner[0]), k), stats)
-    return SolveResult(False, None, stats)
 
 
 def _checked(g: Graph, witness: EdgeColoring, k: int) -> EdgeColoring:

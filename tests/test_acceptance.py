@@ -11,6 +11,7 @@ import functools
 import itertools
 import random
 
+from brutes import connected_graphs_upto
 from maxec.generators import (
     MCISInstance,
     gen_random,
@@ -41,52 +42,12 @@ from maxec.oracle import sigma_exact, sigma_threshold
 from maxec.solver import solve_exact
 
 
-def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in g.neighbors(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
 @functools.lru_cache(maxsize=None)
 def _connected_family() -> tuple[Graph, ...]:
-    """Every connected graph on up to six vertices, one per isomorphism class.
-
-    Scanning edge-set bitmasks in ascending order makes the first unseen
-    mask the least member of its orbit, so marking the whole orbit as
-    seen costs one permutation pass per class instead of one per graph.
-    """
-    graphs = []
-    for n in range(1, 7):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        index = {pair: i for i, pair in enumerate(pairs)}
-        perms = [
-            tuple(index[tuple(sorted((p[u], p[v])))] for u, v in pairs)
-            for p in itertools.permutations(range(n))
-        ]
-        seen = set()
-        for mask in range(1 << len(pairs)):
-            if mask in seen:
-                continue
-            for eperm in perms:
-                image = 0
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    image |= 1 << eperm[low.bit_length() - 1]
-                    rest ^= low
-                seen.add(image)
-            g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-            if _connected(g):
-                graphs.append(g)
+    """Every connected graph on up to six vertices, one per isomorphism class."""
+    graphs = tuple(connected_graphs_upto(6))
     assert len(graphs) == 143
-    return tuple(graphs)
+    return graphs
 
 
 @functools.lru_cache(maxsize=None)

@@ -87,21 +87,6 @@ class TestSolve:
         code, _, _ = cli("solve", "--k", "-1", stdin=render_graph(TRIANGLE))
         assert code == 2
 
-    def test_rejects_bad_thread_count(self, cli):
-        code, _, err = cli(
-            "solve", "--k", "2", "--threads", "0", stdin=render_graph(TRIANGLE)
-        )
-        assert code == 2
-        assert "threads" in err
-
-    def test_threads_flag_keeps_the_answer(self, cli):
-        doc = render_graph(STAR_TRIANGLE)
-        code, out, _ = cli("solve", "--k", "5", "--threads", "2", stdin=doc)
-        assert code == 0
-        first, coloring = _witness(out, STAR_TRIANGLE)
-        assert first == "YES k=5"
-        assert verify_coloring(STAR_TRIANGLE, coloring).colors_used == 5
-
     def test_missing_file(self, cli):
         code, _, err = cli("solve", "--k", "2", "/no/such/file")
         assert code == 2
@@ -212,6 +197,16 @@ class TestSigma:
         code, _, err = cli("sigma", stdin=render_graph(TRIANGLE))
         assert code == 2
         assert "MEC_EDGE_LIMIT" in err
+
+    def test_internal_error_is_not_a_verdict(self, cli, monkeypatch):
+        # the uncapped oracle recurses once per edge, past the recursion limit
+        path = Graph(3000, [(i, i + 1) for i in range(2999)])
+        monkeypatch.setenv("MEC_EDGE_LIMIT", "0")
+        code, out, err = cli("sigma", stdin=render_graph(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: RecursionError: ")
+        assert "Traceback" not in err
 
 
 class TestKernel:

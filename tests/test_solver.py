@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from brutes import connected_graphs_upto
 from maxec import (
     Graph,
-    SearchState,
-    check_across,
-    check_top,
-    enumerate_palettes,
+    SolveStats,
     sigma_exact,
     sigma_threshold,
     solve_exact,
     verify_coloring,
 )
+from maxec.solver import _across, _assemble, _Cover, _enum_tau_masks, _top_leaves
 
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -110,17 +108,23 @@ class TestOracleAgreement:
         _assert_agrees(g, k)
 
 
-class TestThreads:
-    def test_verdict_matches_sequential(self):
-        cases = [(K4, 3), (K4, 4), (STAR3, 3), (PATH5, 4),
-                 (Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5)]), 4)]
-        for g, k in cases:
-            seq = solve_exact(g, k)
-            par = solve_exact(g, k, threads=3)
-            assert par.yes == seq.yes
-            if par.yes:
-                check = verify_coloring(g, par.witness)
-                assert check.valid and check.colors_used == k
+def _mask(colors):
+    return sum(1 << c for c in colors)
+
+
+def _cover(g, tau, k):
+    """Static search tables for a palette map given as color sets."""
+    return _Cover(g, tuple(sorted(tau)), {v: _mask(c) for v, c in tau.items()}, k)
+
+
+def _palettes(g, cover, k):
+    """Enumerated palette assignments as {vertex: frozenset of colors}."""
+    order = tuple(sorted(cover))
+    for masks in _enum_tau_masks(g, order, k):
+        yield {
+            v: frozenset(c for c in range(k) if m >> c & 1)
+            for v, m in zip(order, masks)
+        }
 
 
 def _raw_assignments(order, k):
@@ -164,7 +168,7 @@ class TestPaletteEnumeration:
     def test_one_per_relabeling_orbit(self, edges, cover, k):
         n = 1 + max(max(e) for e in edges)
         g = Graph(n, edges)
-        got = [pa.tau for pa in enumerate_palettes(g, cover, k)]
+        got = list(_palettes(g, cover, k))
         order = tuple(sorted(cover))
         keys = [_orbit_key(order, k, tau) for tau in got]
         assert len(keys) == len(set(keys)), "duplicate orbit emitted"
@@ -177,88 +181,69 @@ class TestPaletteEnumeration:
 
     def test_yields_sane_assignments(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        for pa in enumerate_palettes(g, (0, 1, 2), 3):
-            assert all(1 <= len(s) <= 2 for s in pa.tau.values())
-            assert _sanity(g, (0, 1, 2), 3, pa.tau)
+        for tau in _palettes(g, (0, 1, 2), 3):
+            assert all(1 <= len(s) <= 2 for s in tau.values())
+            assert _sanity(g, (0, 1, 2), 3, tau)
 
 
 class TestCheckTop:
     def test_forced_single_color(self):
         g = Graph(2, [(0, 1)])
-        tau = {0: frozenset({0}), 1: frozenset({0, 1})}
-        state = SearchState((), frozenset({0}), frozenset({1}))
-        leaves = list(check_top(g, (0, 1), tau, state))
-        assert leaves == [
-            SearchState(((0, 0),), frozenset(), frozenset({1}))
-        ]
+        cov = _cover(g, {0: {0}, 1: {0, 1}}, 2)
+        assert list(_top_leaves(cov, 0b01, SolveStats())) == [([0], 0b01)]
 
     def test_budget_must_be_consumed(self):
         g = Graph(2, [(0, 1)])
-        tau = {0: frozenset({0, 1}), 1: frozenset({0, 1})}
-        state = SearchState((), frozenset({0, 1}), frozenset())
-        assert list(check_top(g, (0, 1), tau, state)) == []
+        cov = _cover(g, {0: {0, 1}, 1: {0, 1}}, 2)
+        assert list(_top_leaves(cov, 0b11, SolveStats())) == []
 
     def test_unsupported_budget_color(self):
         g = Graph(2, [(0, 1)])
-        tau = {0: frozenset({0}), 1: frozenset({0})}
-        state = SearchState((), frozenset({1}), frozenset())
-        assert list(check_top(g, (0, 1), tau, state)) == []
+        cov = _cover(g, {0: {0}, 1: {0}}, 2)
+        assert list(_top_leaves(cov, 0b10, SolveStats())) == []
 
     def test_branch_explores_both_fresh_orders(self):
         # path inside the cover: edges (0,1) and (1,2) share vertex 1
         g = Graph(3, [(0, 1), (1, 2)])
-        tau = {0: frozenset({0, 1}), 1: frozenset({0, 1}), 2: frozenset({0, 1})}
-        state = SearchState((), frozenset({0, 1}), frozenset())
-        leaves = list(check_top(g, (0, 1, 2), tau, state))
-        partials = {tuple(sorted(s.partial)) for s in leaves}
-        assert partials == {((0, 0), (1, 1)), ((0, 1), (1, 0))}
-        assert all(s.x == frozenset() for s in leaves)
+        cov = _cover(g, {0: {0, 1}, 1: {0, 1}, 2: {0, 1}}, 2)
+        leaves = list(_top_leaves(cov, 0b11, SolveStats()))
+        assert {tuple(assigned) for assigned, _ in leaves} == {(0, 1), (1, 0)}
+        assert all(used == 0b11 for _, used in leaves)
 
-    def test_rejects_nonempty_partial(self):
-        g = Graph(2, [(0, 1)])
-        tau = {0: frozenset({0}), 1: frozenset({0})}
-        state = SearchState(((0, 0),), frozenset(), frozenset())
-        with pytest.raises(ValueError):
-            next(check_top(g, (0, 1), tau, state))
+
+def _across_colors(g, tau, k, remaining):
+    """Per-edge colors showing every color in ``remaining`` on a cut edge,
+    for a cover without inner edges, or None."""
+    cov = _cover(g, tau, k)
+    assert not cov.dead and not cov.s_edges
+    commits = _across(cov, _mask(remaining), SolveStats())
+    if commits is None:
+        return None
+    return _assemble(g, cov, ([], 0), commits)
 
 
 class TestCheckAcross:
     def test_pendant_forced(self):
         g = Graph(2, [(0, 1)])
-        tau = {1: frozenset({2})}
-        state = SearchState((), frozenset(), frozenset({2}))
-        assert check_across(g, (1,), tau, state) == (2,)
+        assert _across_colors(g, {1: {2}}, 3, {2}) == [2]
 
     def test_unreachable_color(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        tau = {0: frozenset({0, 1}), 2: frozenset({2, 3})}
-        state = SearchState((), frozenset(), frozenset({4}))
-        assert check_across(g, (0, 2), tau, state) is None
+        assert _across_colors(g, {0: {0, 1}, 2: {2, 3}}, 5, {4}) is None
 
     def test_nothing_remaining(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        tau = {0: frozenset({0, 1}), 2: frozenset({2, 3})}
-        state = SearchState((), frozenset(), frozenset())
-        colors = check_across(g, (0, 2), tau, state)
+        colors = _across_colors(g, {0: {0, 1}, 2: {2, 3}}, 4, set())
         assert colors is not None
         assert len(colors) == g.m
 
     def test_matching_assigns_shared_color_vertices(self):
         # two crossing vertices, each must realize one of two leftovers
         g = Graph(6, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 5)])
-        tau = {0: frozenset({0, 1}), 1: frozenset({0, 2})}
-        state = SearchState((), frozenset(), frozenset({1, 2}))
-        colors = check_across(g, (0, 1), tau, state)
+        colors = _across_colors(g, {0: {0, 1}, 1: {0, 2}}, 3, {1, 2})
         assert colors is not None
         seen = set(colors)
         assert {1, 2} <= seen
-
-    def test_requires_cover_edges_colored(self):
-        g = Graph(2, [(0, 1)])
-        tau = {0: frozenset({0}), 1: frozenset({0})}
-        state = SearchState((), frozenset(), frozenset())
-        with pytest.raises(ValueError):
-            check_across(g, (0, 1), tau, state)
 
 
 class TestBranchDiscipline:
