@@ -12,6 +12,16 @@ leftover colors and flexible cut vertices.
 
 Color sets are bitmasks throughout, bit c standing for color c.
 
+Each solve does a piece of work once. What depends only on the graph and
+the cover (cover edges, cut vertices, each cut vertex's neighbors, the
+order constraints of the enumeration) is built once per solve in
+``_Tables``; ``_Cover`` then computes only what a palette changes: the
+allowed colors per cover edge and the candidate lists. The enumeration
+builds the choices for each (introduced colors, pending pairs) key once.
+Candidate lists come from one routine, ``_candidates``, whose results the
+enumeration and ``_Cover`` share through a ``_CandidateCache`` that each
+solve creates and drops.
+
 Key facts the implementation leans on (each argued where used):
 
 * tau pins every vertex palette, so two legal colors for a cover edge are
@@ -65,9 +75,85 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _enum_tau_masks(g: Graph, order: tuple[int, ...], k: int):
+def _candidates(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Exactly-realizable color sets for the edges at a cut vertex whose
+    neighbor palettes are ``masks``, in ascending order.
+
+    A singleton works when the color sits in every neighbor palette. A
+    pair works when every neighbor palette meets it, both colors occur in
+    some neighbor palette, and the vertex has at least two edges; then both
+    colors can really be shown (every neighbor witnesses one of them, so
+    two distinct witness edges exist)."""
+    land = masks[0]
+    lor = 0
+    for m in masks:
+        land &= m
+        lor |= m
+    cands = [1 << a for a in _bits(land)]
+    if len(masks) >= 2:
+        cols = list(_bits(lor))
+        for i, a in enumerate(cols):
+            for b in cols[i + 1:]:
+                pair = 1 << a | 1 << b
+                for m in masks:
+                    if not m & pair:
+                        break
+                else:
+                    cands.append(pair)
+    cands.sort()
+    return tuple(cands)
+
+
+class _CandidateCache(dict):
+    """``_candidates`` results keyed by the tuple of neighbor masks, each
+    computed on first use. A solve owns one; nothing outlives the solve."""
+
+    def __missing__(self, masks: tuple[int, ...]) -> tuple[int, ...]:
+        cands = self[masks] = _candidates(masks)
+        return cands
+
+
+class _Tables:
+    """Structure of (g, cover) that no palette changes, built once per solve.
+
+    Cover vertices are named by their position in ``order``: ``s_pos``
+    holds the positions of each cover edge in ``s_edges``, ``cut_nbrs`` the
+    neighbor positions of each vertex in ``cut_vertices``, ``earlier[p]``
+    the neighbors of position p that come before it, and ``ready_at[p]``
+    the ``cut_nbrs`` entries whose last neighbor is at p."""
+
+    __slots__ = (
+        "order", "s_edges", "s_pos", "cut_vertices", "cut_nbrs", "earlier",
+        "ready_at",
+    )
+
+    def __init__(self, g: Graph, order: tuple[int, ...]):
+        index = {v: i for i, v in enumerate(order)}
+        self.order = order
+        self.s_edges = []
+        self.s_pos = []
+        for eid, (u, v) in enumerate(g.edges):
+            if u in index and v in index:
+                self.s_edges.append((eid, u, v))
+                self.s_pos.append((index[u], index[v]))
+        self.earlier = [
+            tuple(index[w] for _, w in g.adj[v] if w in index and index[w] < i)
+            for i, v in enumerate(order)
+        ]
+        self.cut_vertices = [
+            u for u in range(g.n) if u not in index and g.degree(u) > 0
+        ]
+        self.cut_nbrs = [
+            tuple(index[w] for _, w in g.adj[u]) for u in self.cut_vertices
+        ]
+        self.ready_at = [[] for _ in order]
+        for nbrs in self.cut_nbrs:
+            self.ready_at[max(nbrs)].append(nbrs)
+
+
+def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
     """All palette assignments on the cover, one per color-relabeling orbit,
-    as tuples of color masks parallel to ``order``.
+    as tuples of color masks parallel to ``tables.order``.
 
     Canonical form: scanning cover vertices in the given order, a color
     index may appear only after all smaller indices have appeared, and when
@@ -75,45 +161,16 @@ def _enum_tau_masks(g: Graph, order: tuple[int, ...], k: int):
     exactly one of them must contain the smaller. Assignments are filtered
     to those whose sets jointly cover all k colors and intersect on every
     cover edge, and a prefix is dropped as soon as some cut vertex whose
-    neighbors all lie in it has no candidate color set.
+    neighbors all lie in it has no candidate color set. The choices at a
+    node depend only on (t, pending), so they are built once per key.
     """
     if k < 1:
         return
-    index = {v: i for i, v in enumerate(order)}
-    earlier = []
-    for i, v in enumerate(order):
-        earlier.append(
-            tuple(index[w] for _, w in g.adj[v] if w in index and index[w] < i)
-        )
-    # cut vertices whose whole neighborhood lies in the assigned prefix can
-    # be checked for candidate existence early; group them by that prefix
-    in_cover = set(order)
-    ready_at = [[] for _ in range(len(order))]
-    for u in range(g.n):
-        if u in in_cover or g.degree(u) == 0:
-            continue
-        last = max(index[w] for _, w in g.adj[u])
-        ready_at[last].append(u)
-    sets = [0] * len(order)
-
-    def vertex_has_candidate(u: int) -> bool:
-        masks = [sets[index[w]] for _, w in g.adj[u]]
-        land = masks[0]
-        lor = 0
-        for m in masks:
-            land &= m
-            lor |= m
-        if land:
-            return True
-        if len(masks) < 2:
-            return False
-        cols = list(_bits(lor))
-        for i, a in enumerate(cols):
-            for b in cols[i + 1:]:
-                pair = 1 << a | 1 << b
-                if all(m & pair for m in masks):
-                    return True
-        return False
+    size = len(tables.order)
+    earlier = tables.earlier
+    ready_at = tables.ready_at
+    sets = [0] * size
+    choices = {}
 
     def options(t: int, pending):
         # sets over colors 0..t-1 plus controlled introductions; each item
@@ -149,51 +206,54 @@ def _enum_tau_masks(g: Graph, order: tuple[int, ...], k: int):
         return out
 
     def rec(p: int, t: int, pending):
-        if p == len(order):
+        if p == size:
             if t == k:
                 yield tuple(sets)
             return
-        if t + 2 * (len(order) - p) < k:
+        if t + 2 * (size - p) < k:
             return
-        for y, t2, pending2 in options(t, pending):
-            if any(sets[q] & y == 0 for q in earlier[p]):
-                continue
-            sets[p] = y
-            if all(vertex_has_candidate(u) for u in ready_at[p]):
-                yield from rec(p + 1, t2, pending2)
-            sets[p] = 0
+        key = (t, pending)
+        opts = choices.get(key)
+        if opts is None:
+            opts = choices[key] = options(t, pending)
+        before = [sets[q] for q in earlier[p]]
+        ready = ready_at[p]
+        for y, t2, pending2 in opts:
+            for m in before:
+                if not m & y:
+                    break
+            else:
+                sets[p] = y
+                for nbrs in ready:
+                    if not cache[tuple([sets[i] for i in nbrs])]:
+                        break
+                else:
+                    yield from rec(p + 1, t2, pending2)
 
     yield from rec(0, 0, ())
 
 
 class _Cover:
-    """Static tables for one palette assignment: cover edges with their
-    allowed colors, and candidate lists for every cut vertex."""
+    """Per-palette tables: the allowed colors of every cover edge and the
+    candidate lists of every cut vertex, on top of the per-solve
+    ``_Tables``; ``tau`` holds the palette masks parallel to
+    ``tables.order``."""
 
     __slots__ = (
-        "k", "full", "tau", "s_edges", "allowed_full", "union_allowed",
-        "cut_vertices", "lists", "singles", "gee", "bee", "shown",
-        "coverage", "dead",
+        "k", "full", "tables", "tau", "allowed_full", "union_allowed",
+        "lists", "singles", "gee", "bee", "shown", "coverage", "dead",
     )
 
-    def __init__(self, g: Graph, cover, tau_masks: dict[int, int], k: int):
+    def __init__(self, tables: _Tables, tau: tuple[int, ...], k: int,
+                 cache: _CandidateCache):
         self.k = k
         self.full = (1 << k) - 1
-        self.tau = tau_masks
-        in_cover = set(cover)
-        self.s_edges = []
-        self.allowed_full = []
+        self.tables = tables
+        self.tau = tau
+        self.allowed_full = [tau[i] & tau[j] for i, j in tables.s_pos]
         self.union_allowed = 0
-        for eid, (u, v) in enumerate(g.edges):
-            if u in in_cover and v in in_cover:
-                a = tau_masks[u] & tau_masks[v]
-                self.s_edges.append((eid, u, v))
-                self.allowed_full.append(a)
-                self.union_allowed |= a
-        self.cut_vertices = [
-            u for u in range(g.n)
-            if u not in in_cover and g.degree(u) > 0
-        ]
+        for a in self.allowed_full:
+            self.union_allowed |= a
         self.lists = {}
         self.singles = {}
         self.gee = []
@@ -201,8 +261,8 @@ class _Cover:
         self.shown = 0
         self.coverage = 0
         self.dead = False
-        for u in self.cut_vertices:
-            cands = self._candidates(g, u)
+        for u, nbrs in zip(tables.cut_vertices, tables.cut_nbrs):
+            cands = cache[tuple([tau[i] for i in nbrs])]
             if not cands:
                 self.dead = True
                 return
@@ -222,36 +282,11 @@ class _Cover:
             for y in cands:
                 self.coverage |= y
 
-    def _candidates(self, g: Graph, u: int) -> list[int]:
-        """Exactly-realizable color sets for the edges at cut vertex u.
-
-        A singleton works when the color sits in every neighbor palette. A
-        pair works when every neighbor palette meets it, both colors occur
-        in some neighbor palette, and u has at least two edges; then both
-        colors can really be shown (every neighbor witnesses one of them,
-        so two distinct witness edges exist)."""
-        masks = [self.tau[v] for _, v in g.adj[u]]
-        land = masks[0]
-        lor = 0
-        for m in masks:
-            land &= m
-            lor |= m
-        cands = [1 << a for a in _bits(land)]
-        if len(masks) >= 2:
-            cols = list(_bits(lor))
-            for i, a in enumerate(cols):
-                for b in cols[i + 1:]:
-                    pair = 1 << a | 1 << b
-                    if all(m & pair for m in masks):
-                        cands.append(pair)
-        cands.sort()
-        return cands
-
 
 def _top_leaves(cov: _Cover, x_mask: int, stats: SolveStats):
     """All ways to color the cover edges consuming exactly the budget X.
 
-    Yields (assignment, used) with assignment parallel to cov.s_edges.
+    Yields (assignment, used) with assignment parallel to cov.tables.s_edges.
     Forced moves: a single allowed color; a pair with one fresh and one
     spent color takes the fresh one (any completion spending the fresh
     color later can shift it here); a pair of spent colors takes the
@@ -375,12 +410,13 @@ def _across(cov: _Cover, r0: int, stats: SolveStats):
 def _assemble(g: Graph, cov: _Cover, leaf, commits: dict[int, int]):
     """Full per-edge color list from a cover assignment and cut commitments."""
     colors = [-1] * g.m
+    tau = dict(zip(cov.tables.order, cov.tau))
     assigned, _ = leaf
-    for i, (eid, _, _) in enumerate(cov.s_edges):
+    for i, (eid, _, _) in enumerate(cov.tables.s_edges):
         colors[eid] = assigned[i]
     chosen = dict(cov.singles)
     chosen.update(commits)
-    for u in cov.cut_vertices:
+    for u in cov.tables.cut_vertices:
         y = chosen.get(u, cov.lists[u][0])
         members = list(_bits(y))
         if len(members) == 1:
@@ -388,8 +424,8 @@ def _assemble(g: Graph, cov: _Cover, leaf, commits: dict[int, int]):
                 colors[eid] = members[0]
             continue
         a, b = members
-        awits = [v for _, v in g.adj[u] if cov.tau[v] >> a & 1]
-        bwits = [v for _, v in g.adj[u] if cov.tau[v] >> b & 1]
+        awits = [v for _, v in g.adj[u] if tau[v] >> a & 1]
+        bwits = [v for _, v in g.adj[u] if tau[v] >> b & 1]
         # two distinct witness edges exist: every neighbor witnesses a or b
         if awits[0] != bwits[0]:
             va, vb = awits[0], bwits[0]
@@ -405,7 +441,7 @@ def _assemble(g: Graph, cov: _Cover, leaf, commits: dict[int, int]):
             elif v == vb:
                 colors[eid] = b
             else:
-                colors[eid] = _low_bit(y & cov.tau[v])
+                colors[eid] = _low_bit(y & tau[v])
     return colors
 
 
@@ -442,38 +478,39 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
     if isinstance(pre, ForcedYes):
         return SolveResult(True, _checked(g, pre.witness, k), stats)
     assert isinstance(pre, Continue)
-    cover = tuple(sorted(pre.cover))
-    for tau_masks in _enum_tau_masks(g, cover, k):
+    tables = _Tables(g, tuple(sorted(pre.cover)))
+    cache = _CandidateCache()
+    for tau in _enum_tau_masks(tables, k, cache):
         stats.palettes += 1
-        colors = _try_palette(g, k, cover, dict(zip(cover, tau_masks)), stats)
+        colors = _try_palette(g, _Cover(tables, tau, k, cache), stats)
         if colors is not None:
             return SolveResult(True, _checked(g, EdgeColoring(colors), k), stats)
     return SolveResult(False, None, stats)
 
 
-def _try_palette(g, k, cover, tau_masks, stats):
-    """All X guesses for one palette assignment; first witness wins."""
-    cov = _Cover(g, cover, tau_masks, k)
+def _try_palette(g: Graph, cov: _Cover, stats: SolveStats):
+    """All X guesses for one palette assignment; first witness wins.
+
+    X runs over the submasks of ``union_allowed`` in increasing order, and
+    only those meeting every cover edge's allowed set are tried."""
     if cov.dead:
         return None
-    positions = list(_bits(cov.union_allowed))
-    for sub in range(1 << len(positions)):
-        x_mask = 0
-        for i, pos in enumerate(positions):
-            if sub >> i & 1:
-                x_mask |= 1 << pos
-        if any(a & x_mask == 0 for a in cov.allowed_full):
-            continue
-        stats.x_guesses += 1
-        r0 = cov.full & ~x_mask
-        commits = _across(cov, r0, stats)
-        if commits is None:
-            continue
-        leaf = next(_top_leaves(cov, x_mask, stats), None)
-        if leaf is None:
-            continue
-        return _assemble(g, cov, leaf, commits)
-    return None
+    union = cov.union_allowed
+    x_mask = 0
+    while True:
+        for a in cov.allowed_full:
+            if not a & x_mask:
+                break
+        else:
+            stats.x_guesses += 1
+            commits = _across(cov, cov.full & ~x_mask, stats)
+            if commits is not None:
+                leaf = next(_top_leaves(cov, x_mask, stats), None)
+                if leaf is not None:
+                    return _assemble(g, cov, leaf, commits)
+        x_mask = (x_mask - union) & union
+        if not x_mask:
+            return None
 
 
 def _checked(g: Graph, witness: EdgeColoring, k: int) -> EdgeColoring:

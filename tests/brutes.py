@@ -103,3 +103,132 @@ def all_capacity_maps(n: int):
     """Every capacity map on ``n`` vertices with values in {1, 2}."""
     for bits in range(1 << n):
         yield tuple(2 if bits >> v & 1 else 1 for v in range(n))
+
+
+def ref_enum_tau_masks(g: Graph, order: tuple[int, ...], k: int):
+    """Reference palette enumeration: the solver's canonical-order search as
+    a plain recursive loop, recomputing every option list and candidate
+    check at each node. The solver's memoized enumerator must yield the
+    same tuples in the same order."""
+    if k < 1:
+        return
+    index = {v: i for i, v in enumerate(order)}
+    earlier = []
+    for i, v in enumerate(order):
+        earlier.append(
+            tuple(index[w] for _, w in g.adj[v] if w in index and index[w] < i)
+        )
+    in_cover = set(order)
+    ready_at = [[] for _ in range(len(order))]
+    for u in range(g.n):
+        if u in in_cover or g.degree(u) == 0:
+            continue
+        last = max(index[w] for _, w in g.adj[u])
+        ready_at[last].append(u)
+    sets = [0] * len(order)
+
+    def has_candidate(u: int) -> bool:
+        masks = [sets[index[w]] for _, w in g.adj[u]]
+        return bool(ref_candidates(masks))
+
+    def options(t: int, pending):
+        out = []
+
+        def admit(y: int, t2: int, adds_pair: bool):
+            kept = []
+            for i, j in pending:
+                has_i = y >> i & 1
+                has_j = y >> j & 1
+                if has_i != has_j:
+                    if has_j:
+                        return
+                else:
+                    kept.append((i, j))
+            if adds_pair:
+                kept.append((t, t + 1))
+            out.append((y, t2, tuple(kept)))
+
+        for a in range(t):
+            admit(1 << a, t, False)
+        for a in range(t):
+            for b in range(a + 1, t):
+                admit(1 << a | 1 << b, t, False)
+        if t < k:
+            admit(1 << t, t + 1, False)
+            for a in range(t):
+                admit(1 << a | 1 << t, t + 1, False)
+        if t + 1 < k:
+            admit(1 << t | 1 << (t + 1), t + 2, True)
+        return out
+
+    def rec(p: int, t: int, pending):
+        if p == len(order):
+            if t == k:
+                yield tuple(sets)
+            return
+        if t + 2 * (len(order) - p) < k:
+            return
+        for y, t2, pending2 in options(t, pending):
+            if any(sets[q] & y == 0 for q in earlier[p]):
+                continue
+            sets[p] = y
+            if all(has_candidate(u) for u in ready_at[p]):
+                yield from rec(p + 1, t2, pending2)
+            sets[p] = 0
+
+    yield from rec(0, 0, ())
+
+
+def ref_candidates(masks) -> list[int]:
+    """Candidate color sets of a cut vertex from its neighbor palettes:
+    every color common to all of them, and every pair of colors met by all
+    of them when there are at least two, in ascending mask order."""
+    cols = [c for c in range(max(masks).bit_length()) if any(m >> c & 1 for m in masks)]
+    out = [1 << c for c in cols if all(m >> c & 1 for m in masks)]
+    if len(masks) >= 2:
+        out += [
+            1 << a | 1 << b
+            for a, b in combinations(cols, 2)
+            if all(m & (1 << a | 1 << b) for m in masks)
+        ]
+    return sorted(out)
+
+
+def ref_cover_fields(g: Graph, cover, tau: dict[int, int], k: int) -> dict:
+    """The solver's per-palette cover tables rebuilt from the graph alone:
+    allowed colors per cover edge and candidate lists per cut vertex, with
+    the same early stop at the first cut vertex without candidates."""
+    in_cover = set(cover)
+    allowed_full = [
+        tau[u] & tau[v] for u, v in g.edges if u in in_cover and v in in_cover
+    ]
+    union_allowed = 0
+    for a in allowed_full:
+        union_allowed |= a
+    out = {
+        "allowed_full": allowed_full, "union_allowed": union_allowed,
+        "lists": {}, "singles": {}, "gee": [], "bee": [], "shown": 0,
+        "coverage": 0, "dead": False,
+    }
+    for u in range(g.n):
+        if u in in_cover or g.degree(u) == 0:
+            continue
+        cands = ref_candidates([tau[w] for _, w in g.adj[u]])
+        if not cands:
+            out["dead"] = True
+            break
+        out["lists"][u] = tuple(cands)
+        if len(cands) == 1:
+            out["singles"][u] = cands[0]
+            out["shown"] |= cands[0]
+            continue
+        common = cands[0]
+        for y in cands:
+            common &= y
+            out["coverage"] |= y
+        if common:
+            out["shown"] |= common
+            out["gee"].append(u)
+        else:
+            out["bee"].append(u)
+    return out

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brutes import connected_graphs_upto
+from brutes import (
+    connected_graphs_upto,
+    ref_cover_fields,
+    ref_enum_tau_masks,
+)
 from maxec import (
     Graph,
     SolveStats,
@@ -15,7 +19,17 @@ from maxec import (
     solve_exact,
     verify_coloring,
 )
-from maxec.solver import _across, _assemble, _Cover, _enum_tau_masks, _top_leaves
+from maxec.generators import gen_random
+from maxec.matching import Continue, matching_preprocess, maximal_matching
+from maxec.solver import (
+    _across,
+    _assemble,
+    _CandidateCache,
+    _Cover,
+    _enum_tau_masks,
+    _Tables,
+    _top_leaves,
+)
 
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -113,14 +127,16 @@ def _mask(colors):
 
 
 def _cover(g, tau, k):
-    """Static search tables for a palette map given as color sets."""
-    return _Cover(g, tuple(sorted(tau)), {v: _mask(c) for v, c in tau.items()}, k)
+    """Search tables for a palette map given as color sets."""
+    order = tuple(sorted(tau))
+    masks = tuple(_mask(tau[v]) for v in order)
+    return _Cover(_Tables(g, order), masks, k, _CandidateCache())
 
 
 def _palettes(g, cover, k):
     """Enumerated palette assignments as {vertex: frozenset of colors}."""
     order = tuple(sorted(cover))
-    for masks in _enum_tau_masks(g, order, k):
+    for masks in _enum_tau_masks(_Tables(g, order), k, _CandidateCache()):
         yield {
             v: frozenset(c for c in range(k) if m >> c & 1)
             for v, m in zip(order, masks)
@@ -215,7 +231,7 @@ def _across_colors(g, tau, k, remaining):
     """Per-edge colors showing every color in ``remaining`` on a cut edge,
     for a cover without inner edges, or None."""
     cov = _cover(g, tau, k)
-    assert not cov.dead and not cov.s_edges
+    assert not cov.dead and not cov.tables.s_edges
     commits = _across(cov, _mask(remaining), SolveStats())
     if commits is None:
         return None
@@ -273,3 +289,102 @@ class TestBranchDiscipline:
             seen += res.stats.top_branch_events
             assert res.stats.top_branch_max_width <= 2
         assert seen > 0
+
+
+def _matching_cover(g):
+    return tuple(sorted(maximal_matching(g).saturated))
+
+
+class TestMemoizedSearch:
+    """The memoized palette search against loop references kept in
+    ``brutes``: the verdict, the witness and every counter depend on the
+    enumeration order, so it must be identical, and the per-palette tables
+    built on shared per-solve tables and a shared candidate cache must match
+    tables rebuilt from the graph."""
+
+    def test_palette_order_matches_reference(self):
+        checked = 0
+        for g in connected_graphs_upto(6):
+            cover = _matching_cover(g)
+            for k in range(2, g.n + 1):
+                pre = matching_preprocess(g, k)
+                if isinstance(pre, Continue):
+                    assert pre.cover == cover
+                tables = _Tables(g, cover)
+                got = list(_enum_tau_masks(tables, k, _CandidateCache()))
+                assert got == list(ref_enum_tau_masks(g, cover, k)), (
+                    f"edges={g.edges} k={k}"
+                )
+                checked += len(got)
+        assert checked > 1000
+
+    def test_cover_tables_match_rebuild(self):
+        fields = ("lists", "singles", "gee", "bee", "shown", "coverage",
+                  "dead", "allowed_full", "union_allowed")
+        sampled = 0
+        for g in connected_graphs_upto(6):
+            cover = _matching_cover(g)
+            for k in range(2, g.n + 1):
+                tables = _Tables(g, cover)
+                cache = _CandidateCache()
+                for i, tau in enumerate(_enum_tau_masks(tables, k, cache)):
+                    if i % 3:
+                        continue
+                    cov = _Cover(tables, tau, k, cache)
+                    want = ref_cover_fields(g, cover, dict(zip(cover, tau)), k)
+                    got = {name: getattr(cov, name) for name in fields}
+                    assert got == want, f"edges={g.edges} k={k} tau={tau}"
+                    sampled += 1
+        assert sampled > 300
+
+    def test_dead_palette_tables_match_rebuild(self):
+        # vertex 4 sees three disjoint palettes, so it has no candidate;
+        # both builds stop there, before reaching vertex 5
+        g = Graph(6, [(0, 3), (0, 4), (1, 4), (2, 4), (1, 5)])
+        cover = (0, 1, 2)
+        tau = (0b001, 0b010, 0b100)
+        cov = _Cover(_Tables(g, cover), tau, 3, _CandidateCache())
+        want = ref_cover_fields(g, cover, dict(zip(cover, tau)), 3)
+        assert cov.dead and want["dead"]
+        assert cov.lists == want["lists"] == {3: (0b001,)}
+
+
+# seeded draws whose greedy matching has size 3 (a 6-vertex cover), with
+# SolveStats fields and witness colors recorded from the loop-based search
+PINNED = [
+    ((9, 0.2, 1), 5, (80, 107, 6, 2, 5, 3), [0, 0, 1, 0, 0, 2, 3, 4]),
+    ((9, 0.2, 1), 6, (515, 671, 10, 2, 10, 3), None),
+    ((9, 0.2, 28), 5, (70, 122, 0, 0, 1, 3),
+     [0, 1, 0, 0, 0, 0, 0, 2, 0, 3, 0, 4]),
+    ((9, 0.25, 10), 5, (818, 1087, 20, 2, 15, 2), [0, 1, 0, 2, 3, 4, 0, 0]),
+    ((10, 0.2, 6), 5, (2814, 3656, 68, 2, 51, 3), None),
+    ((10, 0.25, 36), 6, (128, 142, 2, 2, 3, 2), [0, 1, 2, 3, 4, 0, 5, 0]),
+    ((10, 0.25, 36), 7, (102, 115, 2, 2, 2, 2), None),
+    ((11, 0.25, 3), 7, (398, 502, 0, 0, 3, 3),
+     [0, 1, 0, 0, 2, 3, 4, 5, 5, 6]),
+    ((11, 0.3, 1), 7, (2, 2, 0, 0, 1, 2), None),
+]
+
+
+def _pinned_check(draw, k, counters, witness):
+    g = gen_random(*draw)
+    assert len(maximal_matching(g)) == 3
+    res = solve_exact(g, k)
+    s = res.stats
+    assert (s.palettes, s.x_guesses, s.top_branch_events,
+            s.top_branch_max_width, s.across_branch_events,
+            s.across_branch_max_width) == counters
+    assert res.yes == (witness is not None)
+    assert (None if res.witness is None else list(res.witness)) == witness
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("draw,k,counters,witness", PINNED)
+    def test_counters_and_witness(self, draw, k, counters, witness):
+        _pinned_check(draw, k, counters, witness)
+
+    def test_no_state_shared_between_solves(self):
+        # a NO solve then a YES solve on another graph in one process: the
+        # second must not see tables or candidates of the first
+        for case in (PINNED[4], PINNED[7], PINNED[0], PINNED[4]):
+            _pinned_check(*case)
