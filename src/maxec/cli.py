@@ -17,6 +17,7 @@ cap; a value of 0 or below lifts it entirely.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -75,7 +76,10 @@ def run(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # one tree per process: parse_args leaves the parser as it was, and
+    # building nine subcommands takes longer than many whole commands
     parser = argparse.ArgumentParser(
         prog="maxec",
         description="Exact maximum edge 2-coloring tools.",

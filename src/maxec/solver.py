@@ -31,7 +31,11 @@ Key facts the implementation leans on (each argued where used):
   a shared color have at most 4 members, so branching stays narrow;
 * candidate sets are kept only when they can be realized exactly (every
   listed color actually appears at the vertex), which is what makes the
-  matching stage's accounting sound.
+  matching stage's accounting sound;
+* a color can only appear on a cover edge whose two palettes hold it or
+  in a candidate set of a cut vertex, so a palette whose cover edges and
+  candidates miss a color has no witness for any X; the enumeration skips
+  such palettes, and every prefix that can only lead to them.
 """
 
 from __future__ import annotations
@@ -119,12 +123,14 @@ class _Tables:
     Cover vertices are named by their position in ``order``: ``s_pos``
     holds the positions of each cover edge in ``s_edges``, ``cut_nbrs`` the
     neighbor positions of each vertex in ``cut_vertices``, ``earlier[p]``
-    the neighbors of position p that come before it, and ``ready_at[p]``
-    the ``cut_nbrs`` entries whose last neighbor is at p."""
+    the neighbors of position p that come before it, ``ready_at[p]`` the
+    ``cut_nbrs`` entries whose last neighbor is at p, and ``open_at[p]``
+    the positions up to p that still neighbor a cut vertex whose last
+    neighbor comes after p."""
 
     __slots__ = (
         "order", "s_edges", "s_pos", "cut_vertices", "cut_nbrs", "earlier",
-        "ready_at",
+        "ready_at", "open_at",
     )
 
     def __init__(self, g: Graph, order: tuple[int, ...]):
@@ -147,8 +153,16 @@ class _Tables:
             tuple(index[w] for _, w in g.adj[u]) for u in self.cut_vertices
         ]
         self.ready_at = [[] for _ in order]
+        open_until = [-1] * len(order)
         for nbrs in self.cut_nbrs:
-            self.ready_at[max(nbrs)].append(nbrs)
+            last = max(nbrs)
+            self.ready_at[last].append(nbrs)
+            for i in nbrs:
+                open_until[i] = max(open_until[i], last)
+        self.open_at = [
+            tuple(i for i in range(p + 1) if open_until[i] > p)
+            for p in range(len(order))
+        ]
 
 
 def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
@@ -163,12 +177,30 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
     cover edge, and a prefix is dropped as soon as some cut vertex whose
     neighbors all lie in it has no candidate color set. The choices at a
     node depend only on (t, pending), so they are built once per key.
+
+    Only palettes that can show every color are yielded: each of the k
+    colors must be allowed on a cover edge (both palettes hold it) or lie
+    in a candidate set of a cut vertex. Any other palette fails every X in
+    ``_across`` before a branch is counted, so dropping it changes no
+    verdict, witness or branch counter. A prefix is dropped early by a
+    bound. ``covered`` holds the colors already shown by the placed
+    positions: on cover edges between them and in the candidates of cut
+    vertices that are ready. A color outside ``covered`` can still be shown
+    by a cut vertex not yet ready, but only through one of its neighbors'
+    palettes, placed (the ``open_at`` positions) or later; and by a cover
+    edge only through a later palette. Each later palette holds at most two
+    colors, so a child prefix survives only while the colors missing from
+    ``covered`` and from the open palettes number at most twice the
+    positions left. This also cuts every prefix that can no longer
+    introduce all k colors.
     """
     if k < 1:
         return
     size = len(tables.order)
+    full = (1 << k) - 1
     earlier = tables.earlier
     ready_at = tables.ready_at
+    open_at = tables.open_at
     sets = [0] * size
     choices = {}
 
@@ -205,12 +237,10 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
             admit(1 << t | 1 << (t + 1), t + 2, True)
         return out
 
-    def rec(p: int, t: int, pending):
+    def rec(p: int, t: int, pending, covered: int):
         if p == size:
-            if t == k:
+            if t == k and covered == full:
                 yield tuple(sets)
-            return
-        if t + 2 * (size - p) < k:
             return
         key = (t, pending)
         opts = choices.get(key)
@@ -218,19 +248,38 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
             opts = choices[key] = options(t, pending)
         before = [sets[q] for q in earlier[p]]
         ready = ready_at[p]
+        # colors a cut vertex not yet ready may still show through a placed
+        # neighbor; everything else uncovered needs a later palette
+        shared = 0
+        y_open = False
+        for q in open_at[p]:
+            if q == p:
+                y_open = True
+            else:
+                shared |= sets[q]
+        rest = 2 * (size - p - 1)
         for y, t2, pending2 in opts:
+            covered2 = covered
             for m in before:
                 if not m & y:
                     break
+                covered2 |= m & y
             else:
                 sets[p] = y
                 for nbrs in ready:
-                    if not cache[tuple([sets[i] for i in nbrs])]:
+                    cands = cache[tuple([sets[i] for i in nbrs])]
+                    if not cands:
                         break
+                    for c in cands:
+                        covered2 |= c
                 else:
-                    yield from rec(p + 1, t2, pending2)
+                    left = full & ~covered2 & ~shared
+                    if y_open:
+                        left &= ~y
+                    if left.bit_count() <= rest:
+                        yield from rec(p + 1, t2, pending2, covered2)
 
-    yield from rec(0, 0, ())
+    yield from rec(0, 0, (), 0)
 
 
 class _Cover:

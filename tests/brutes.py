@@ -2,14 +2,18 @@
 
 Everything here is deliberately naive and shares no code with the package
 internals: a pruning-free enumerator for the maximum color count, and an
-orbit-marking enumeration of isomorphism-distinct connected graphs.
+orbit-marking enumeration of isomorphism-distinct connected graphs. The one
+exception is ``ref_palette_search``, which feeds the reference palette
+enumeration into the solver's own per-palette search, so that a test can
+compare the pruned enumeration alone against it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from maxec import Graph
+from maxec import Graph, SolveStats
+from maxec.solver import _CandidateCache, _Cover, _Tables, _try_palette
 
 
 def dumb_sigma(g: Graph, caps=None) -> int:
@@ -232,3 +236,28 @@ def ref_cover_fields(g: Graph, cover, tau: dict[int, int], k: int) -> dict:
         else:
             out["bee"].append(u)
     return out
+
+
+def ref_coverable(g: Graph, cover, tau: dict[int, int], k: int) -> bool:
+    """Whether every one of the k colors can appear on some edge: allowed
+    on a cover edge or listed in a candidate of a cut vertex, with every
+    cut vertex having a candidate. A palette failing this never yields a
+    witness, whatever the colors used inside the cover."""
+    fields = ref_cover_fields(g, cover, tau, k)
+    shown = fields["union_allowed"] | fields["shown"] | fields["coverage"]
+    return not fields["dead"] and shown == (1 << k) - 1
+
+
+def ref_palette_search(g: Graph, cover: tuple[int, ...], k: int):
+    """The palette search with the unpruned reference enumeration: every
+    palette of ``ref_enum_tau_masks`` goes through ``_Cover`` and
+    ``_try_palette`` in turn. Returns (per-edge colors or None, stats)."""
+    stats = SolveStats()
+    tables = _Tables(g, cover)
+    cache = _CandidateCache()
+    for tau in ref_enum_tau_masks(g, cover, k):
+        stats.palettes += 1
+        colors = _try_palette(g, _Cover(tables, tau, k, cache), stats)
+        if colors is not None:
+            return colors, stats
+    return None, stats

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from maxec.cli import run
+from maxec.cli import _build_parser, run
 from maxec.formats import load_coloring, load_graph, load_instance, render_annotated, render_graph
 from maxec.generators import MCISInstance, gen_random, render_mcis
 from maxec.graphs import Graph, ValidityProfile, verify_coloring
@@ -409,6 +409,39 @@ class TestUsage:
         code, out, _ = cli("--help")
         assert code == 0
         assert "solve" in out
+
+    def test_one_parser_per_process(self, cli):
+        cli("solve", "--k", "2", stdin=render_graph(TRIANGLE))
+        cli("sigma", stdin=render_graph(TRIANGLE))
+        assert _build_parser() is _build_parser()
+
+    def test_help_matches_a_fresh_parser(self, cli):
+        cli("solve", "--k", "2", stdin=render_graph(TRIANGLE))
+        code, out, _ = cli("--help")
+        assert code == 0
+        assert out == _build_parser.__wrapped__().format_help()
+
+    def test_usage_error_is_stable_across_calls(self, cli, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser.__wrapped__().parse_args(["solve", "-o", "w.col"])
+        assert exc.value.code == 2
+        fresh = capsys.readouterr().err
+        assert "required: --k" in fresh
+        for _ in range(2):
+            assert cli("solve", "-o", "w.col") == (2, "", fresh)
+
+    def test_defaults_do_not_leak_between_calls(self, cli, tmp_path):
+        graph = tmp_path / "g.gr"
+        graph.write_text(render_graph(PENDANT_PAIR))
+        side = tmp_path / "side"
+        first = ("kernel", "--rule", "standard", "--k", "4")
+        code, _, _ = cli(*first, "--lifting", str(side),
+                         "-o", str(tmp_path / "a"), str(graph))
+        assert code == 0
+        assert side.exists() and not (tmp_path / "a.lift").exists()
+        code, _, _ = cli(*first, "-o", str(tmp_path / "b"), str(graph))
+        assert code == 0
+        assert (tmp_path / "b.lift").read_text() == side.read_text()
 
     def test_malformed_graph_document(self, cli):
         code, _, err = cli("solve", "--k", "1", stdin="p edge two 1\ne 1 2\n")

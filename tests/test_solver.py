@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from brutes import (
     connected_graphs_upto,
+    ref_coverable,
     ref_cover_fields,
     ref_enum_tau_masks,
+    ref_palette_search,
 )
 from maxec import (
     Graph,
@@ -163,6 +165,10 @@ def _sanity(g, order, k, tau):
     )
 
 
+def _coverable(g, order, k, tau):
+    return ref_coverable(g, order, {v: _mask(tau[v]) for v in order}, k)
+
+
 def _orbit_key(order, k, tau):
     best = None
     for perm in itertools.permutations(range(k)):
@@ -191,7 +197,7 @@ class TestPaletteEnumeration:
         want = {
             _orbit_key(order, k, tau)
             for tau in _raw_assignments(order, k)
-            if _sanity(g, order, k, tau)
+            if _sanity(g, order, k, tau) and _coverable(g, order, k, tau)
         }
         assert set(keys) == want
 
@@ -200,6 +206,7 @@ class TestPaletteEnumeration:
         for tau in _palettes(g, (0, 1, 2), 3):
             assert all(1 <= len(s) <= 2 for s in tau.values())
             assert _sanity(g, (0, 1, 2), 3, tau)
+            assert _coverable(g, (0, 1, 2), 3, tau)
 
 
 class TestCheckTop:
@@ -264,9 +271,17 @@ class TestCheckAcross:
 
 class TestBranchDiscipline:
     def test_stats_populated_on_hard_no(self):
-        res = solve_exact(STAR3, 3)
+        res = solve_exact(gen_random(10, 0.2, 6), 5)
         assert not res.yes
         assert res.stats.palettes > 0
+        assert res.stats.x_guesses >= res.stats.palettes
+
+    def test_uncoverable_no_enumerates_nothing(self):
+        # the center's palette holds at most two colors and every edge
+        # meets it, so no palette can show three colors
+        res = solve_exact(STAR3, 3)
+        assert not res.yes
+        assert res.stats.palettes == 0
 
     def test_branch_widths_within_bounds(self):
         seen_across = 0
@@ -312,9 +327,11 @@ class TestMemoizedSearch:
                     assert pre.cover == cover
                 tables = _Tables(g, cover)
                 got = list(_enum_tau_masks(tables, k, _CandidateCache()))
-                assert got == list(ref_enum_tau_masks(g, cover, k)), (
-                    f"edges={g.edges} k={k}"
-                )
+                want = [
+                    tau for tau in ref_enum_tau_masks(g, cover, k)
+                    if ref_coverable(g, cover, dict(zip(cover, tau)), k)
+                ]
+                assert got == want, f"edges={g.edges} k={k}"
                 checked += len(got)
         assert checked > 1000
 
@@ -349,20 +366,69 @@ class TestMemoizedSearch:
         assert cov.lists == want["lists"] == {3: (0b001,)}
 
 
+def _differential_check(g):
+    """solve_exact against the unpruned reference enumeration fed to the
+    same per-palette search, at every k the palette search decides."""
+    searched = 0
+    for k in range(2, g.n):
+        pre = matching_preprocess(g, k)
+        if not isinstance(pre, Continue):
+            continue
+        res = solve_exact(g, k)
+        colors, ref = ref_palette_search(g, tuple(sorted(pre.cover)), k)
+        where = f"n={g.n} edges={g.edges} k={k}"
+        assert res.yes == (colors is not None), where
+        assert (None if res.witness is None else list(res.witness)) == colors, where
+        got = res.stats
+        assert (got.top_branch_events, got.top_branch_max_width,
+                got.across_branch_events, got.across_branch_max_width) == (
+            ref.top_branch_events, ref.top_branch_max_width,
+            ref.across_branch_events, ref.across_branch_max_width), where
+        assert got.palettes <= ref.palettes, where
+        assert got.x_guesses <= ref.x_guesses, where
+        searched += 1
+    return searched
+
+
+class TestPrunedSearch:
+    """Skipping palettes that cannot show all k colors drops only palettes
+    without a witness: verdict, witness and branch counters equal those of
+    the unpruned enumeration."""
+
+    def test_small_graphs(self):
+        searched = sum(_differential_check(g) for g in connected_graphs_upto(6))
+        assert searched > 100
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
+    def test_seeded_draws(self, n):
+        searched = drawn = 0
+        for seed in itertools.count():
+            g = gen_random(n, 0.25, seed)
+            if g.m and len(maximal_matching(g)) <= 3:
+                searched += _differential_check(g)
+                drawn += 1
+                if drawn == 6:
+                    break
+        assert searched > 0
+
+
 # seeded draws whose greedy matching has size 3 (a 6-vertex cover), with
-# SolveStats fields and witness colors recorded from the loop-based search
+# SolveStats fields and witness colors. The four branch fields and the
+# witnesses come from the loop-based search over every palette; they do not
+# depend on the palettes that cannot show all k colors, which palettes and
+# x_guesses (the first two fields) no longer count
 PINNED = [
-    ((9, 0.2, 1), 5, (80, 107, 6, 2, 5, 3), [0, 0, 1, 0, 0, 2, 3, 4]),
-    ((9, 0.2, 1), 6, (515, 671, 10, 2, 10, 3), None),
-    ((9, 0.2, 28), 5, (70, 122, 0, 0, 1, 3),
+    ((9, 0.2, 1), 5, (6, 19, 6, 2, 5, 3), [0, 0, 1, 0, 0, 2, 3, 4]),
+    ((9, 0.2, 1), 6, (9, 30, 10, 2, 10, 3), None),
+    ((9, 0.2, 28), 5, (1, 4, 0, 0, 1, 3),
      [0, 1, 0, 0, 0, 0, 0, 2, 0, 3, 0, 4]),
-    ((9, 0.25, 10), 5, (818, 1087, 20, 2, 15, 2), [0, 1, 0, 2, 3, 4, 0, 0]),
-    ((10, 0.2, 6), 5, (2814, 3656, 68, 2, 51, 3), None),
-    ((10, 0.25, 36), 6, (128, 142, 2, 2, 3, 2), [0, 1, 2, 3, 4, 0, 5, 0]),
-    ((10, 0.25, 36), 7, (102, 115, 2, 2, 2, 2), None),
-    ((11, 0.25, 3), 7, (398, 502, 0, 0, 3, 3),
+    ((9, 0.25, 10), 5, (18, 68, 20, 2, 15, 2), [0, 1, 0, 2, 3, 4, 0, 0]),
+    ((10, 0.2, 6), 5, (53, 204, 68, 2, 51, 3), None),
+    ((10, 0.25, 36), 6, (3, 7, 2, 2, 3, 2), [0, 1, 2, 3, 4, 0, 5, 0]),
+    ((10, 0.25, 36), 7, (2, 6, 2, 2, 2, 2), None),
+    ((11, 0.25, 3), 7, (1, 1, 0, 0, 3, 3),
      [0, 1, 0, 0, 2, 3, 4, 5, 5, 6]),
-    ((11, 0.3, 1), 7, (2, 2, 0, 0, 1, 2), None),
+    ((11, 0.3, 1), 7, (1, 1, 0, 0, 1, 2), None),
 ]
 
 
