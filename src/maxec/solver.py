@@ -35,7 +35,10 @@ Key facts the implementation leans on (each argued where used):
 * a color can only appear on a cover edge whose two palettes hold it or
   in a candidate set of a cut vertex, so a palette whose cover edges and
   candidates miss a color has no witness for any X; the enumeration skips
-  such palettes, and every prefix that can only lead to them.
+  such palettes, and every prefix that can only lead to them;
+* every enumerated palette gives every cut vertex a candidate: a prefix is
+  dropped as soon as a cut vertex whose neighbors all lie in it has none,
+  and every cut vertex is ready by the last position.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ class SolveStats:
     palettes: int = 0
     x_guesses: int = 0
     top_branch_events: int = 0
-    top_branch_max_width: int = 0
     across_branch_events: int = 0
     across_branch_max_width: int = 0
 
@@ -120,13 +122,13 @@ class _CandidateCache(dict):
 class _Tables:
     """Structure of (g, cover) that no palette changes, built once per solve.
 
-    Cover vertices are named by their position in ``order``: ``s_pos``
-    holds the positions of each cover edge in ``s_edges``, ``cut_nbrs`` the
-    neighbor positions of each vertex in ``cut_vertices``, ``earlier[p]``
-    the neighbors of position p that come before it, ``ready_at[p]`` the
-    ``cut_nbrs`` entries whose last neighbor is at p, and ``open_at[p]``
-    the positions up to p that still neighbor a cut vertex whose last
-    neighbor comes after p."""
+    Cover vertices are named by their position in ``order``: ``s_edges``
+    holds the ids of the cover edges and ``s_pos`` their end positions,
+    ``cut_nbrs`` the neighbor positions of each vertex in ``cut_vertices``,
+    ``earlier[p]`` the neighbors of position p that come before it,
+    ``ready_at[p]`` the ``cut_nbrs`` entries whose last neighbor is at p,
+    and ``open_at[p]`` the positions up to p that still neighbor a cut
+    vertex whose last neighbor comes after p."""
 
     __slots__ = (
         "order", "s_edges", "s_pos", "cut_vertices", "cut_nbrs", "earlier",
@@ -140,7 +142,7 @@ class _Tables:
         self.s_pos = []
         for eid, (u, v) in enumerate(g.edges):
             if u in index and v in index:
-                self.s_edges.append((eid, u, v))
+                self.s_edges.append(eid)
                 self.s_pos.append((index[u], index[v]))
         self.earlier = [
             tuple(index[w] for _, w in g.adj[v] if w in index and index[w] < i)
@@ -194,8 +196,6 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
     positions left. This also cuts every prefix that can no longer
     introduce all k colors.
     """
-    if k < 1:
-        return
     size = len(tables.order)
     full = (1 << k) - 1
     earlier = tables.earlier
@@ -286,16 +286,16 @@ class _Cover:
     """Per-palette tables: the allowed colors of every cover edge and the
     candidate lists of every cut vertex, on top of the per-solve
     ``_Tables``; ``tau`` holds the palette masks parallel to
-    ``tables.order``."""
+    ``tables.order``, as yielded by ``_enum_tau_masks``, so every cut
+    vertex has a candidate."""
 
     __slots__ = (
-        "k", "full", "tables", "tau", "allowed_full", "union_allowed",
-        "lists", "singles", "gee", "bee", "shown", "coverage", "dead",
+        "full", "tables", "tau", "allowed_full", "union_allowed", "lists",
+        "gee", "bee", "shown", "coverage",
     )
 
     def __init__(self, tables: _Tables, tau: tuple[int, ...], k: int,
                  cache: _CandidateCache):
-        self.k = k
         self.full = (1 << k) - 1
         self.tables = tables
         self.tau = tau
@@ -304,20 +304,14 @@ class _Cover:
         for a in self.allowed_full:
             self.union_allowed |= a
         self.lists = {}
-        self.singles = {}
         self.gee = []
         self.bee = []
         self.shown = 0
         self.coverage = 0
-        self.dead = False
         for u, nbrs in zip(tables.cut_vertices, tables.cut_nbrs):
             cands = cache[tuple([tau[i] for i in nbrs])]
-            if not cands:
-                self.dead = True
-                return
             self.lists[u] = cands
             if len(cands) == 1:
-                self.singles[u] = cands[0]
                 self.shown |= cands[0]
                 continue
             common = cands[0]
@@ -335,18 +329,17 @@ class _Cover:
 def _top_leaves(cov: _Cover, x_mask: int, stats: SolveStats):
     """All ways to color the cover edges consuming exactly the budget X.
 
-    Yields (assignment, used) with assignment parallel to cov.tables.s_edges.
-    Forced moves: a single allowed color; a pair with one fresh and one
-    spent color takes the fresh one (any completion spending the fresh
-    color later can shift it here); a pair of spent colors takes the
-    smaller (exchangeable). Only fresh-fresh pairs branch, so every branch
-    shrinks X.
+    Precondition: X meets the allowed set of every cover edge, as
+    ``_try_palette`` guarantees. Yields assignments, lists of colors
+    parallel to cov.tables.s_edges. Forced moves: a single allowed color; a
+    pair with one fresh and one spent color takes the fresh one (any
+    completion spending the fresh color later can shift it here); a pair of
+    spent colors takes the smaller (exchangeable). Only fresh-fresh pairs
+    branch, so every branch shrinks X.
     """
     allowed = [a & x_mask for a in cov.allowed_full]
-    if any(a == 0 for a in allowed):
-        return
 
-    def rec(assigned, used: int, xrem: int):
+    def rec(assigned, xrem: int):
         assigned = assigned[:]
         while True:
             changed = False
@@ -363,9 +356,7 @@ def _top_leaves(cov: _Cover, x_mask: int, stats: SolveStats):
                 else:
                     continue
                 assigned[i] = c
-                bit = 1 << c
-                xrem &= ~bit
-                used |= bit
+                xrem &= ~(1 << c)
                 changed = True
             if not changed:
                 break
@@ -373,16 +364,15 @@ def _top_leaves(cov: _Cover, x_mask: int, stats: SolveStats):
             branch_at = assigned.index(None)
         except ValueError:
             if xrem == 0:
-                yield assigned, used
+                yield assigned
             return
         stats.top_branch_events += 1
-        stats.top_branch_max_width = max(stats.top_branch_max_width, 2)
         for c in _bits(allowed[branch_at]):
             nxt = assigned[:]
             nxt[branch_at] = c
-            yield from rec(nxt, used | 1 << c, xrem & ~(1 << c))
+            yield from rec(nxt, xrem & ~(1 << c))
 
-    yield from rec([None] * len(allowed), 0, x_mask)
+    yield from rec([None] * len(allowed), x_mask)
 
 
 def _across(cov: _Cover, r0: int, stats: SolveStats):
@@ -456,17 +446,14 @@ def _across(cov: _Cover, r0: int, stats: SolveStats):
     return rec(need, {})
 
 
-def _assemble(g: Graph, cov: _Cover, leaf, commits: dict[int, int]):
+def _assemble(g: Graph, cov: _Cover, assigned, commits: dict[int, int]):
     """Full per-edge color list from a cover assignment and cut commitments."""
     colors = [-1] * g.m
     tau = dict(zip(cov.tables.order, cov.tau))
-    assigned, _ = leaf
-    for i, (eid, _, _) in enumerate(cov.tables.s_edges):
-        colors[eid] = assigned[i]
-    chosen = dict(cov.singles)
-    chosen.update(commits)
+    for eid, c in zip(cov.tables.s_edges, assigned):
+        colors[eid] = c
     for u in cov.tables.cut_vertices:
-        y = chosen.get(u, cov.lists[u][0])
+        y = commits.get(u, cov.lists[u][0])
         members = list(_bits(y))
         if len(members) == 1:
             for eid, _ in g.adj[u]:
@@ -505,10 +492,6 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
     stats = SolveStats()
     if k == 0:
         return SolveResult(True, EdgeColoring([0] * g.m), stats)
-    if g.m == 0:
-        return SolveResult(False, None, stats)
-    if k == 1:
-        return SolveResult(True, EdgeColoring([0] * g.m), stats)
     if k > g.n:
         # a subgraph keeping one edge per color has max degree 2, so the
         # color count never exceeds the vertex count
@@ -542,8 +525,6 @@ def _try_palette(g: Graph, cov: _Cover, stats: SolveStats):
 
     X runs over the submasks of ``union_allowed`` in increasing order, and
     only those meeting every cover edge's allowed set are tried."""
-    if cov.dead:
-        return None
     union = cov.union_allowed
     x_mask = 0
     while True:
@@ -554,9 +535,9 @@ def _try_palette(g: Graph, cov: _Cover, stats: SolveStats):
             stats.x_guesses += 1
             commits = _across(cov, cov.full & ~x_mask, stats)
             if commits is not None:
-                leaf = next(_top_leaves(cov, x_mask, stats), None)
-                if leaf is not None:
-                    return _assemble(g, cov, leaf, commits)
+                assigned = next(_top_leaves(cov, x_mask, stats), None)
+                if assigned is not None:
+                    return _assemble(g, cov, assigned, commits)
         x_mask = (x_mask - union) & union
         if not x_mask:
             return None

@@ -200,8 +200,9 @@ def ref_candidates(masks) -> list[int]:
 
 def ref_cover_fields(g: Graph, cover, tau: dict[int, int], k: int) -> dict:
     """The solver's per-palette cover tables rebuilt from the graph alone:
-    allowed colors per cover edge and candidate lists per cut vertex, with
-    the same early stop at the first cut vertex without candidates."""
+    allowed colors per cover edge and candidate lists per cut vertex. At
+    the first cut vertex without candidates the rebuild stops and sets
+    ``dead``; the solver never builds tables for such a palette."""
     in_cover = set(cover)
     allowed_full = [
         tau[u] & tau[v] for u, v in g.edges if u in in_cover and v in in_cover
@@ -211,8 +212,8 @@ def ref_cover_fields(g: Graph, cover, tau: dict[int, int], k: int) -> dict:
         union_allowed |= a
     out = {
         "allowed_full": allowed_full, "union_allowed": union_allowed,
-        "lists": {}, "singles": {}, "gee": [], "bee": [], "shown": 0,
-        "coverage": 0, "dead": False,
+        "lists": {}, "gee": [], "bee": [], "shown": 0, "coverage": 0,
+        "dead": False,
     }
     for u in range(g.n):
         if u in in_cover or g.degree(u) == 0:
@@ -223,7 +224,6 @@ def ref_cover_fields(g: Graph, cover, tau: dict[int, int], k: int) -> dict:
             break
         out["lists"][u] = tuple(cands)
         if len(cands) == 1:
-            out["singles"][u] = cands[0]
             out["shown"] |= cands[0]
             continue
         common = cands[0]

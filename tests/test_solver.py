@@ -31,6 +31,7 @@ from maxec.solver import (
     _enum_tau_masks,
     _Tables,
     _top_leaves,
+    _try_palette,
 )
 
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
@@ -50,7 +51,6 @@ def _assert_agrees(g, k):
             assert check.colors_used == k
     else:
         assert res.witness is None
-    assert res.stats.top_branch_max_width <= 2
     assert res.stats.across_branch_max_width <= 10
     return res
 
@@ -213,36 +213,39 @@ class TestCheckTop:
     def test_forced_single_color(self):
         g = Graph(2, [(0, 1)])
         cov = _cover(g, {0: {0}, 1: {0, 1}}, 2)
-        assert list(_top_leaves(cov, 0b01, SolveStats())) == [([0], 0b01)]
+        assert list(_top_leaves(cov, 0b01, SolveStats())) == [[0]]
 
     def test_budget_must_be_consumed(self):
         g = Graph(2, [(0, 1)])
         cov = _cover(g, {0: {0, 1}, 1: {0, 1}}, 2)
         assert list(_top_leaves(cov, 0b11, SolveStats())) == []
 
-    def test_unsupported_budget_color(self):
+    def test_unsupported_budget_color_is_never_tried(self):
+        # the edge allows only color 0: X = 0b10 is no submask of the
+        # allowed union and X = 0 misses the edge, so only X = 0b01 counts
         g = Graph(2, [(0, 1)])
         cov = _cover(g, {0: {0}, 1: {0}}, 2)
-        assert list(_top_leaves(cov, 0b10, SolveStats())) == []
+        stats = SolveStats()
+        assert _try_palette(g, cov, stats) is None
+        assert stats.x_guesses == 1
 
     def test_branch_explores_both_fresh_orders(self):
         # path inside the cover: edges (0,1) and (1,2) share vertex 1
         g = Graph(3, [(0, 1), (1, 2)])
         cov = _cover(g, {0: {0, 1}, 1: {0, 1}, 2: {0, 1}}, 2)
         leaves = list(_top_leaves(cov, 0b11, SolveStats()))
-        assert {tuple(assigned) for assigned, _ in leaves} == {(0, 1), (1, 0)}
-        assert all(used == 0b11 for _, used in leaves)
+        assert {tuple(assigned) for assigned in leaves} == {(0, 1), (1, 0)}
 
 
 def _across_colors(g, tau, k, remaining):
     """Per-edge colors showing every color in ``remaining`` on a cut edge,
     for a cover without inner edges, or None."""
     cov = _cover(g, tau, k)
-    assert not cov.dead and not cov.tables.s_edges
+    assert not cov.tables.s_edges
     commits = _across(cov, _mask(remaining), SolveStats())
     if commits is None:
         return None
-    return _assemble(g, cov, ([], 0), commits)
+    return _assemble(g, cov, [], commits)
 
 
 class TestCheckAcross:
@@ -302,7 +305,6 @@ class TestBranchDiscipline:
         for g in cases:
             res = _assert_agrees(g, 5)
             seen += res.stats.top_branch_events
-            assert res.stats.top_branch_max_width <= 2
         assert seen > 0
 
 
@@ -336,8 +338,8 @@ class TestMemoizedSearch:
         assert checked > 1000
 
     def test_cover_tables_match_rebuild(self):
-        fields = ("lists", "singles", "gee", "bee", "shown", "coverage",
-                  "dead", "allowed_full", "union_allowed")
+        fields = ("lists", "gee", "bee", "shown", "coverage", "allowed_full",
+                  "union_allowed")
         sampled = 0
         for g in connected_graphs_upto(6):
             cover = _matching_cover(g)
@@ -349,21 +351,29 @@ class TestMemoizedSearch:
                         continue
                     cov = _Cover(tables, tau, k, cache)
                     want = ref_cover_fields(g, cover, dict(zip(cover, tau)), k)
+                    assert not want.pop("dead"), f"edges={g.edges} tau={tau}"
                     got = {name: getattr(cov, name) for name in fields}
                     assert got == want, f"edges={g.edges} k={k} tau={tau}"
                     sampled += 1
         assert sampled > 300
 
-    def test_dead_palette_tables_match_rebuild(self):
-        # vertex 4 sees three disjoint palettes, so it has no candidate;
-        # both builds stop there, before reaching vertex 5
-        g = Graph(6, [(0, 3), (0, 4), (1, 4), (2, 4), (1, 5)])
-        cover = (0, 1, 2)
-        tau = (0b001, 0b010, 0b100)
-        cov = _Cover(_Tables(g, cover), tau, 3, _CandidateCache())
-        want = ref_cover_fields(g, cover, dict(zip(cover, tau)), 3)
-        assert cov.dead and want["dead"]
-        assert cov.lists == want["lists"] == {3: (0b001,)}
+    def test_enumeration_never_yields_a_dead_palette(self):
+        # _Cover assumes every cut vertex has a candidate; the rebuild
+        # from the graph checks each yielded palette for one without. Up to
+        # six vertices the coverage bound alone drops every such palette,
+        # so the test also takes seeded 7-vertex draws, where it does not
+        draws = (gen_random(7, 0.25, seed) for seed in range(60))
+        checked = 0
+        for g in itertools.chain(connected_graphs_upto(6), (
+                g for g in draws if g.m and len(maximal_matching(g)) <= 3)):
+            cover = _matching_cover(g)
+            for k in range(2, g.n + 1):
+                tables = _Tables(g, cover)
+                for tau in _enum_tau_masks(tables, k, _CandidateCache()):
+                    want = ref_cover_fields(g, cover, dict(zip(cover, tau)), k)
+                    assert not want["dead"], f"edges={g.edges} k={k} tau={tau}"
+                    checked += 1
+        assert checked > 1000
 
 
 def _differential_check(g):
@@ -380,10 +390,10 @@ def _differential_check(g):
         assert res.yes == (colors is not None), where
         assert (None if res.witness is None else list(res.witness)) == colors, where
         got = res.stats
-        assert (got.top_branch_events, got.top_branch_max_width,
-                got.across_branch_events, got.across_branch_max_width) == (
-            ref.top_branch_events, ref.top_branch_max_width,
-            ref.across_branch_events, ref.across_branch_max_width), where
+        assert (got.top_branch_events, got.across_branch_events,
+                got.across_branch_max_width) == (
+            ref.top_branch_events, ref.across_branch_events,
+            ref.across_branch_max_width), where
         assert got.palettes <= ref.palettes, where
         assert got.x_guesses <= ref.x_guesses, where
         searched += 1
@@ -413,22 +423,22 @@ class TestPrunedSearch:
 
 
 # seeded draws whose greedy matching has size 3 (a 6-vertex cover), with
-# SolveStats fields and witness colors. The four branch fields and the
+# SolveStats fields and witness colors. The three branch fields and the
 # witnesses come from the loop-based search over every palette; they do not
 # depend on the palettes that cannot show all k colors, which palettes and
 # x_guesses (the first two fields) no longer count
 PINNED = [
-    ((9, 0.2, 1), 5, (6, 19, 6, 2, 5, 3), [0, 0, 1, 0, 0, 2, 3, 4]),
-    ((9, 0.2, 1), 6, (9, 30, 10, 2, 10, 3), None),
-    ((9, 0.2, 28), 5, (1, 4, 0, 0, 1, 3),
+    ((9, 0.2, 1), 5, (6, 19, 6, 5, 3), [0, 0, 1, 0, 0, 2, 3, 4]),
+    ((9, 0.2, 1), 6, (9, 30, 10, 10, 3), None),
+    ((9, 0.2, 28), 5, (1, 4, 0, 1, 3),
      [0, 1, 0, 0, 0, 0, 0, 2, 0, 3, 0, 4]),
-    ((9, 0.25, 10), 5, (18, 68, 20, 2, 15, 2), [0, 1, 0, 2, 3, 4, 0, 0]),
-    ((10, 0.2, 6), 5, (53, 204, 68, 2, 51, 3), None),
-    ((10, 0.25, 36), 6, (3, 7, 2, 2, 3, 2), [0, 1, 2, 3, 4, 0, 5, 0]),
-    ((10, 0.25, 36), 7, (2, 6, 2, 2, 2, 2), None),
-    ((11, 0.25, 3), 7, (1, 1, 0, 0, 3, 3),
+    ((9, 0.25, 10), 5, (18, 68, 20, 15, 2), [0, 1, 0, 2, 3, 4, 0, 0]),
+    ((10, 0.2, 6), 5, (53, 204, 68, 51, 3), None),
+    ((10, 0.25, 36), 6, (3, 7, 2, 3, 2), [0, 1, 2, 3, 4, 0, 5, 0]),
+    ((10, 0.25, 36), 7, (2, 6, 2, 2, 2), None),
+    ((11, 0.25, 3), 7, (1, 1, 0, 3, 3),
      [0, 1, 0, 0, 2, 3, 4, 5, 5, 6]),
-    ((11, 0.3, 1), 7, (1, 1, 0, 0, 1, 2), None),
+    ((11, 0.3, 1), 7, (1, 1, 0, 1, 2), None),
 ]
 
 
@@ -438,8 +448,7 @@ def _pinned_check(draw, k, counters, witness):
     res = solve_exact(g, k)
     s = res.stats
     assert (s.palettes, s.x_guesses, s.top_branch_events,
-            s.top_branch_max_width, s.across_branch_events,
-            s.across_branch_max_width) == counters
+            s.across_branch_events, s.across_branch_max_width) == counters
     assert res.yes == (witness is not None)
     assert (None if res.witness is None else list(res.witness)) == witness
 
