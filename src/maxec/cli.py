@@ -199,30 +199,25 @@ def _load_plain(path: str) -> Graph:
 def _cmd_solve(args) -> int:
     g = _load_plain(args.graph)
     k = args.k
+    witness = None
     if args.kernelize and k >= 2:
         kern = kernelize_standard(g, k)
         verdict = kern.verdict
-        if isinstance(verdict, ForcedNo):
-            print("NO")
-            return EXIT_NO
         if isinstance(verdict, ForcedYes):
-            print(f"YES k={k}")
-            _write(args.out, render_coloring(g, verdict.witness))
-            return EXIT_YES
-        res = solve_exact(verdict.graph, k)
-        if not res.yes:
-            print("NO")
-            return EXIT_NO
-        witness = lift_coloring(g, verdict.graph, kern.lifting, res.witness)
-        print(f"YES k={k}")
-        _write(args.out, render_coloring(g, witness))
-        return EXIT_YES
-    res = solve_exact(g, k)
-    if not res.yes:
+            witness = verdict.witness
+        elif isinstance(verdict, Reduced):
+            res = solve_exact(verdict.graph, k)
+            if res.yes:
+                witness = lift_coloring(g, verdict.graph, kern.lifting, res.witness)
+    else:
+        res = solve_exact(g, k)
+        if res.yes:
+            witness = res.witness
+    if witness is None:
         print("NO")
         return EXIT_NO
     print(f"YES k={k}")
-    _write(args.out, render_coloring(g, res.witness))
+    _write(args.out, render_coloring(g, witness))
     return EXIT_YES
 
 

@@ -1,31 +1,32 @@
 """Exhaustive maximum-color computation for small graphs.
 
-The search enumerates edge partitions as restricted-growth assignments over a
-fixed edge order. A branch dies the moment some vertex palette exceeds its
-capacity, or when an upper bound on the classes still reachable cannot beat
-the best coloring found (or reach the requested threshold).
+The search enumerates edge partitions as restricted-growth assignments over
+the edges in id order. A branch dies the moment some vertex palette exceeds
+its capacity, or when an upper bound on the classes still reachable cannot
+beat the best coloring found (or reach the requested threshold).
 
-Two further devices keep graphs with many pendant-like edges tractable, both
-justified by local exchange arguments and cross-checked in the tests against
-a pruning-free enumerator:
+Every call first folds pendant edges: it peels degree-1 vertices one at a
+time, so the graph left to search has no vertex of degree 1. Folding a
+pendant edge (p, v) gains exactly one class and lowers v's capacity by one
+when v has capacity at least 2 or no other edge, and otherwise repeats v's
+single color and gains nothing. Both directions of each rule follow from
+adding, merging or splitting one class (``_fold_pendants``), so the optimum
+is preserved exactly; the tests cross-check both entry points against a
+pruning-free enumerator.
+
+Two further devices cut the search itself, both justified by local exchange
+arguments:
 
 * an edge that is the last uncolored edge at both endpoints is forced: a
   brand-new class dominates when both palettes have room (recoloring that
   edge to a fresh color in any completed partition stays valid and gains a
   class), and otherwise all feasible old classes are future-equivalent, so
   the smallest is taken;
-* a trailing block of such edges is pairwise vertex-disjoint, so its exact
+* a trailing run of such edges is pairwise vertex-disjoint, so its exact
   contribution is evaluated in closed form instead of recursing.
 
 Connected components are solved independently and summed; the number of
 colors is additive because components can always use disjoint palettes.
-
-An opt-in preprocessing (``fold_pendants``) peels degree-1 vertices before
-the search. Folding a pendant edge at a capacity-2 neighbor gains exactly
-one class and pins the neighbor to capacity 1; at a capacity-1 neighbor it
-gains nothing. Both directions of each rule follow from merging or splitting
-one class, so the optimum is preserved exactly; the tests cross-check the
-folded and plain searches against each other.
 """
 
 from __future__ import annotations
@@ -52,21 +53,21 @@ def sigma_exact(
     g: Graph,
     profile: ValidityProfile = DEFAULT_PROFILE,
     edge_limit: int | None = DEFAULT_EDGE_LIMIT,
-    fold_pendants: bool = False,
+    fold_pendants: bool = True,
 ) -> SigmaResult:
     """Maximum number of colors over all valid colorings, with a witness.
 
-    ``fold_pendants`` turns on the exact degree-1 preprocessing described in
-    the module docstring; it changes neither the optimum nor the validity of
-    the witness, only the running time on pendant-heavy graphs.
+    Pendant edges are always folded first (module docstring). The
+    ``fold_pendants`` keyword remains for callers that name it, and only
+    ``True`` is accepted; ``False`` raises ``ValueError``.
     """
+    if not fold_pendants:
+        raise ValueError("pendant folding is always on; fold_pendants=False is not supported")
     _check_limit(g, edge_limit)
     caps = list(profile.capacities(g.n))
+    room = sum(caps)
     colors: list[int | None] = [None] * g.m
-    if fold_pendants:
-        core, caps, actions = _fold_pendants(g, caps)
-    else:
-        core, actions = Graph(g.n, g.edges), []
+    core, caps, actions = _fold_pendants(g, caps)
     total = 0
     for comp, edge_ids, local_edges, local_caps in _components(core, caps):
         if not edge_ids:
@@ -78,8 +79,9 @@ def sigma_exact(
             colors[g.edge_id(*core.edges[edge_ids[local_eid]])] = total + c
         total += best
     total = _unfold(g, actions, colors, total)
-    if total > g.n:
-        raise AssertionError("maximum color count exceeded the vertex count")
+    # each color class holds an edge, so it sits in at least two palettes
+    if 2 * total > room:
+        raise AssertionError("maximum color count exceeded half the capacity sum")
     if any(c is None for c in colors):
         raise AssertionError("some edge was left uncolored")
     return SigmaResult(total, EdgeColoring(colors))
@@ -90,31 +92,25 @@ def sigma_threshold(
     k: int,
     profile: ValidityProfile = DEFAULT_PROFILE,
     edge_limit: int | None = DEFAULT_EDGE_LIMIT,
-    fold_pendants: bool = False,
 ) -> bool:
     """True iff some valid coloring uses at least ``k`` colors.
 
     Equivalent to ``sigma_exact(g).sigma >= k`` but may exit early: merging
     the top classes of any coloring with more than k colors yields one with
     exactly k, so the search can stop as soon as k classes are reached.
-    ``fold_pendants`` is the same exact preprocessing as in ``sigma_exact``.
+    Pendant edges are folded first, as in ``sigma_exact``; each fold that
+    gains a class lowers the target by one.
     """
     _check_limit(g, edge_limit)
+    core, caps, actions = _fold_pendants(g, list(profile.capacities(g.n)))
+    k -= sum(1 for kind, _, _ in actions if kind == "fresh")
     if k <= 0:
         return True
-    if g.m < k:
+    if core.m < k:
         return False
-    caps = list(profile.capacities(g.n))
-    if fold_pendants:
-        g, caps, actions = _fold_pendants(g, caps)
-        k -= sum(1 for kind, _, _ in actions if kind == "fresh")
-        if k <= 0:
-            return True
-        if g.m < k:
-            return False
     parts = [
         (comp, local_edges, local_caps)
-        for comp, edge_ids, local_edges, local_caps in _components(g, caps)
+        for comp, edge_ids, local_edges, local_caps in _components(core, caps)
         if edge_ids
     ]
     acc = 0
@@ -144,14 +140,28 @@ def _check_limit(g: Graph, edge_limit: int | None) -> None:
 
 
 def _fold_pendants(g: Graph, caps: list[int]):
-    """Peel degree-1 vertices; returns the core graph, its capacities, and
-    the fold actions in application order.
+    """Peel degree-1 vertices; returns the core graph, its capacities (the
+    list ``caps``, updated in place), and the fold actions in application
+    order. The core has no vertex of degree 1.
 
-    Folding pendant edge (p, v) with p of degree 1: when v still has palette
-    room (capacity 2, or v itself has degree 1), the edge is worth exactly
-    one extra class and pins v to capacity 1; when v is already pinned, the
-    edge must repeat v's single color and is worth nothing. Each action is
-    (kind, edge id, v) with kind "fresh" or "reuse".
+    Folding pendant edge (p, v), with p of degree 1 and c(v) the capacity
+    of v in the current graph G, where G - e keeps every other capacity:
+
+    * "fresh", when c(v) >= 2 or v has no other edge:
+      sigma(G) = sigma(G - e with c(v) - 1) + 1.
+      For >=, add e to a coloring of G - e with a new color; v's palette
+      grows by one, to at most c(v), and p's palette is that one color.
+      For <=, drop e from an optimal coloring of G. If e's color sits on no
+      other edge at v, v's palette loses it and keeps at most c(v) - 1
+      colors, and at most e's own class is lost. Otherwise no class is lost
+      and v's palette is unchanged; if it holds c(v) >= 2 colors, merging
+      two of them into one class costs one class, shrinks it to c(v) - 1
+      and grows no palette.
+    * "reuse", when c(v) = 1 and v has another edge: sigma(G) = sigma(G - e).
+      v's other edges carry its single color, e must repeat it, so dropping
+      e loses no class, and adding e back with that color changes no palette.
+
+    Each action is (kind, edge id, v); ``_unfold`` replays them in reverse.
     """
     alive = [True] * g.m
     deg = [g.degree(v) for v in range(g.n)]
@@ -166,9 +176,9 @@ def _fold_pendants(g: Graph, caps: list[int]):
         alive[eid] = False
         deg[p] = 0
         deg[v] -= 1
-        if deg[v] == 0 or caps[v] == 2:
+        if deg[v] == 0 or caps[v] >= 2:
             actions.append(("fresh", eid, v))
-            caps[v] = 1
+            caps[v] -= 1
         else:
             actions.append(("reuse", eid, v))
         if deg[v] == 1:
@@ -203,35 +213,17 @@ def _components(g: Graph, caps):
         yield comp, edge_ids, local_edges, [caps[v] for v in comp]
 
 
-def _plan(n: int, edges) -> tuple[list[int], list[bool], int]:
-    """Static visit order, per-edge "last at both endpoints" flags, and the
-    position where the all-dead disjoint suffix starts."""
-    m = len(edges)
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    tail: list[int] = []
-    tail_vertices: set[int] = set()
-    for eid, (u, v) in enumerate(edges):
-        if (deg[u] == 1 or deg[v] == 1) and u not in tail_vertices and v not in tail_vertices:
-            tail.append(eid)
-            tail_vertices.add(u)
-            tail_vertices.add(v)
-    in_tail = set(tail)
-    order = [eid for eid in range(m) if eid not in in_tail] + tail
-    pos = [0] * m
-    for i, eid in enumerate(order):
-        pos[eid] = i
+def _plan(n: int, edges) -> tuple[list[bool], int]:
+    """Per-edge "last at both endpoints" flags, and the edge id where the
+    trailing run of such edges starts."""
     last = [-1] * n
     for eid, (u, v) in enumerate(edges):
-        last[u] = max(last[u], pos[eid])
-        last[v] = max(last[v], pos[eid])
-    dead = [pos[eid] == last[edges[eid][0]] and pos[eid] == last[edges[eid][1]] for eid in range(m)]
-    start = m
-    while start > 0 and dead[order[start - 1]]:
+        last[u] = last[v] = eid
+    dead = [last[u] == eid == last[v] for eid, (u, v) in enumerate(edges)]
+    start = len(edges)
+    while start > 0 and dead[start - 1]:
         start -= 1
-    return order, dead, start
+    return dead, start
 
 
 def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False):
@@ -244,7 +236,7 @@ def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False)
     whether the optimum meets the stop value.
     """
     m = len(edges)
-    order, dead, suffix_start = _plan(n, edges)
+    dead, suffix_start = _plan(n, edges)
     pal = [0] * n  # palette bitmask per vertex
     size = [0] * n
     left = [0] * n  # uncolored incident edges per vertex
@@ -252,7 +244,7 @@ def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False)
         left[u] += 1
         left[v] += 1
     state = {"room": sum(caps[v] for v in range(n) if left[v] > 0)}
-    assign = [0] * m  # by position
+    assign = [0] * m  # by edge id
     best = 0
     best_assign: list[int] | None = None
     done = False
@@ -280,7 +272,7 @@ def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False)
         extra = 0
         chosen = []
         for i in range(pos, m):
-            u, v = edges[order[i]]
+            u, v = edges[i]
             if feasible_new(u, v):
                 chosen.append(classes + extra)
                 extra += 1
@@ -316,9 +308,8 @@ def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False)
         if pos >= suffix_start:
             finish_suffix(pos, classes)
             return
-        eid = order[pos]
-        u, v = edges[eid]
-        if dead[eid]:
+        u, v = edges[pos]
+        if dead[pos]:
             if feasible_new(u, v):
                 candidates = (classes,)
             else:
@@ -364,9 +355,4 @@ def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False)
                 return
 
     step(0, 0)
-    if best_assign is None:
-        return best, None
-    by_edge = [0] * m
-    for i, eid in enumerate(order):
-        by_edge[eid] = best_assign[i]
-    return best, by_edge
+    return best, best_assign

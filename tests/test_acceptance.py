@@ -264,12 +264,9 @@ def test_08_reduction_chain_agrees_with_brute_force():
                     ann.threshold,
                     ValidityProfile(f=ann.f),
                     edge_limit=None,
-                    fold_pendants=True,
                 )
                 plain, target = pendant_transform(ann)
-                last = sigma_threshold(
-                    plain, target, edge_limit=None, fold_pendants=True
-                )
+                last = sigma_threshold(plain, target, edge_limit=None)
                 assert want == mid == last, (g.edges, parts)
 
 

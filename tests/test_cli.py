@@ -199,14 +199,25 @@ class TestSigma:
         assert "MEC_EDGE_LIMIT" in err
 
     def test_internal_error_is_not_a_verdict(self, cli, monkeypatch):
-        # the uncapped oracle recurses once per edge, past the recursion limit
-        path = Graph(3000, [(i, i + 1) for i in range(2999)])
+        # a cycle has no pendant to fold, and the uncapped oracle recurses
+        # once per edge, past the recursion limit
+        cycle = Graph(3000, [(i, (i + 1) % 3000) for i in range(3000)])
         monkeypatch.setenv("MEC_EDGE_LIMIT", "0")
-        code, out, err = cli("sigma", stdin=render_graph(path))
+        code, out, err = cli("sigma", stdin=render_graph(cycle))
         assert code == 4
         assert out == ""
         assert err.startswith("internal error: RecursionError: ")
         assert "Traceback" not in err
+
+    def test_long_path_folds_without_recursion(self, cli, monkeypatch):
+        path = Graph(3000, [(i, i + 1) for i in range(2999)])
+        monkeypatch.setenv("MEC_EDGE_LIMIT", "0")
+        code, out, _ = cli("sigma", stdin=render_graph(path))
+        assert code == 0
+        first, witness = _witness(out, path)
+        assert first == "sigma=2999"
+        check = verify_coloring(path, witness)
+        assert check.valid and check.colors_used == 2999
 
 
 class TestKernel:

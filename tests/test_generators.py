@@ -151,11 +151,10 @@ class TestReduceMCIS:
                         expect = has_multicolored_independent_set(inst)
                         assert expect == sigma_threshold(
                             ann.graph, ann.threshold, ann.profile,
-                            edge_limit=None, fold_pendants=True,
+                            edge_limit=None,
                         )
                         assert expect == sigma_threshold(
-                            plain, target,
-                            edge_limit=None, fold_pendants=True,
+                            plain, target, edge_limit=None
                         )
 
 
@@ -279,8 +278,7 @@ class TestMCISChecker:
             inst = _random_instance(rng, n_max=4)
             ann = reduce_mcis(inst)
             assert has_multicolored_independent_set(inst) == sigma_threshold(
-                ann.graph, ann.threshold, ann.profile,
-                edge_limit=None, fold_pendants=True,
+                ann.graph, ann.threshold, ann.profile, edge_limit=None
             )
 
 

@@ -175,42 +175,69 @@ def test_oracle_matches_naive_under_capacities(g, data):
 
 
 def test_pendant_folding_matches_plain_search():
+    # folding always runs, so both entry points are checked against the
+    # pruning-free enumerator, under every {1, 2} capacity map and under
+    # uniform capacities 3 and 4, where a pendant's neighbor keeps room
     for n in range(1, 5):
         pairs = list(combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
             g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
-            for caps in all_capacity_maps(n):
-                profile = ValidityProfile(f=caps)
-                plain = sigma_exact(g, profile=profile, edge_limit=None)
-                folded = sigma_exact(
-                    g, profile=profile, edge_limit=None, fold_pendants=True
-                )
-                assert folded.sigma == plain.sigma, (g.edges, caps)
-                check = verify_coloring(g, folded.witness, profile)
-                assert check.valid and check.colors_used == folded.sigma
-                for k in (plain.sigma, plain.sigma + 1):
+            profiles = [ValidityProfile(f=caps) for caps in all_capacity_maps(n)]
+            profiles += [ValidityProfile(q=3), ValidityProfile(q=4)]
+            for profile in profiles:
+                want = dumb_sigma(g, list(profile.capacities(n)))
+                res = sigma_exact(g, profile=profile, edge_limit=None)
+                assert res.sigma == want, (g.edges, profile)
+                check = verify_coloring(g, res.witness, profile)
+                assert check.valid and check.colors_used == want
+                for k in (want, want + 1):
                     assert sigma_threshold(
-                        g, k, profile, edge_limit=None, fold_pendants=True
-                    ) == (plain.sigma >= k)
+                        g, k, profile, edge_limit=None
+                    ) == (want >= k), (g.edges, profile, k)
+
+
+def test_pendant_folding_keeps_room_above_capacity_two():
+    # a pendant's neighbor with capacity 3 still has room after one fold;
+    # the keyword that names folding is still accepted with True
+    claw = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    profile = ValidityProfile(q=3)
+    res = sigma_exact(claw, profile, fold_pendants=True)
+    assert res.sigma == 3 == dumb_sigma(claw, [3] * 4)
+    assert verify_coloring(claw, res.witness, profile).colors_used == 3
+    assert sigma_threshold(claw, 3, profile)
+    assert not sigma_threshold(claw, 4, profile)
+
+
+def test_color_count_may_exceed_vertex_count():
+    # K4 at capacity 3 takes one color per edge: 6 colors on 4 vertices
+    k4 = Graph(4, list(combinations(range(4), 2)))
+    for q in (3, 4):
+        profile = ValidityProfile(q=q)
+        res = sigma_exact(k4, profile)
+        assert res.sigma == 6 == dumb_sigma(k4, [q] * 4)
+        assert verify_coloring(k4, res.witness, profile).colors_used == 6
+
+
+def test_unfolded_search_is_refused():
+    with pytest.raises(ValueError):
+        sigma_exact(Graph(2, [(0, 1)]), fold_pendants=False)
 
 
 def test_pendant_folding_collapses_trees():
     # trees always keep a degree-1 vertex, so folding alone finishes them
     star = Graph(5, [(0, i) for i in range(1, 5)])
-    assert sigma_exact(star, fold_pendants=True).sigma == 2
+    assert sigma_exact(star).sigma == 2
     path6 = Graph(6, [(i, i + 1) for i in range(5)])
-    assert sigma_exact(path6, fold_pendants=True).sigma == 5
+    assert sigma_exact(path6).sigma == 5
     pinned_path3 = Graph(3, [(0, 1), (1, 2)])
     profile = ValidityProfile(f=(1, 1, 1))
-    assert sigma_exact(pinned_path3, profile, fold_pendants=True).sigma == 1
+    assert sigma_exact(pinned_path3, profile).sigma == 1
 
 
 def test_pendant_folding_scales_to_a_big_tree():
     tree = Graph(60, [((i * 7 + 3) % i, i) for i in range(1, 60)])
-    res = sigma_exact(tree, edge_limit=None, fold_pendants=True)
+    res = sigma_exact(tree, edge_limit=None)
     check = verify_coloring(tree, res.witness)
     assert check.valid and check.colors_used == res.sigma
-    assert sigma_threshold(tree, res.sigma, edge_limit=None, fold_pendants=True)
-    assert not sigma_threshold(
-        tree, res.sigma + 1, edge_limit=None, fold_pendants=True
-    )
+    assert sigma_threshold(tree, res.sigma, edge_limit=None)
+    assert not sigma_threshold(tree, res.sigma + 1, edge_limit=None)
