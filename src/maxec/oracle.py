@@ -3,7 +3,7 @@
 The search enumerates edge partitions as restricted-growth assignments over
 the edges in id order. A branch dies the moment some vertex palette exceeds
 its capacity, or when an upper bound on the classes still reachable cannot
-beat the best coloring found (or reach the requested threshold).
+beat the best coloring found.
 
 Every call first folds pendant edges: it peels degree-1 vertices one at a
 time, so the graph left to search has no vertex of degree 1. Folding a
@@ -11,22 +11,19 @@ pendant edge (p, v) gains exactly one class and lowers v's capacity by one
 when v has capacity at least 2 or no other edge, and otherwise repeats v's
 single color and gains nothing. Both directions of each rule follow from
 adding, merging or splitting one class (``_fold_pendants``), so the optimum
-is preserved exactly; the tests cross-check both entry points against a
+is preserved exactly; the tests cross-check the oracle against a
 pruning-free enumerator.
 
-Two further devices cut the search itself, both justified by local exchange
-arguments:
-
-* an edge that is the last uncolored edge at both endpoints is forced: a
-  brand-new class dominates when both palettes have room (recoloring that
-  edge to a fresh color in any completed partition stays valid and gains a
-  class), and otherwise all feasible old classes are future-equivalent, so
-  the smallest is taken;
-* a trailing run of such edges is pairwise vertex-disjoint, so its exact
-  contribution is evaluated in closed form instead of recursing.
+One further device cuts the search itself, justified by a local exchange
+argument: an edge that is the last uncolored edge at both endpoints is
+forced. A brand-new class dominates when both palettes have room (recoloring
+that edge to a fresh color in any completed partition stays valid and gains
+a class), and otherwise all feasible old classes are future-equivalent, so
+the smallest is taken.
 
 Connected components are solved independently and summed; the number of
 colors is additive because components can always use disjoint palettes.
+``sigma_threshold`` is ``sigma_exact`` compared with k.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ def sigma_exact(
     for comp, edge_ids, local_edges, local_caps in _components(core, caps):
         if not edge_ids:
             continue
-        best, assign = _search(len(comp), local_edges, local_caps, stop_at=None)
+        best, assign = _search(len(comp), local_edges, local_caps)
         if assign is None:
             raise AssertionError("component search returned no coloring")
         for local_eid, c in enumerate(assign):
@@ -95,41 +92,10 @@ def sigma_threshold(
 ) -> bool:
     """True iff some valid coloring uses at least ``k`` colors.
 
-    Equivalent to ``sigma_exact(g).sigma >= k`` but may exit early: merging
-    the top classes of any coloring with more than k colors yields one with
-    exactly k, so the search can stop as soon as k classes are reached.
-    Pendant edges are folded first, as in ``sigma_exact``; each fold that
-    gains a class lowers the target by one.
+    This is ``sigma_exact(g, profile, edge_limit).sigma >= k``, with the
+    same refusals: it computes the full optimum and never stops early.
     """
-    _check_limit(g, edge_limit)
-    core, caps, actions = _fold_pendants(g, list(profile.capacities(g.n)))
-    k -= sum(1 for kind, _, _ in actions if kind == "fresh")
-    if k <= 0:
-        return True
-    if core.m < k:
-        return False
-    parts = [
-        (comp, local_edges, local_caps)
-        for comp, edge_ids, local_edges, local_caps in _components(core, caps)
-        if edge_ids
-    ]
-    acc = 0
-    for i, (comp, local_edges, local_caps) in enumerate(parts):
-        need = k - acc
-        # pruning branches that cannot reach the threshold is only sound on
-        # the last component; earlier ones must report their exact optimum
-        # so the running sum stays correct
-        best, _ = _search(
-            len(comp),
-            local_edges,
-            local_caps,
-            stop_at=need,
-            prune_below=(i == len(parts) - 1),
-        )
-        if best >= need:
-            return True
-        acc += best
-    return acc >= k
+    return sigma_exact(g, profile, edge_limit).sigma >= k
 
 
 def _check_limit(g: Graph, edge_limit: int | None) -> None:
@@ -188,55 +154,57 @@ def _fold_pendants(g: Graph, caps: list[int]):
 
 
 def _unfold(g: Graph, actions, colors: list[int | None], total: int) -> int:
-    """Replay fold actions in reverse, assigning the folded edges' colors."""
+    """Replay fold actions in reverse, assigning the folded edges' colors.
+
+    Caps only fall while folding, so every "reuse" fold at v comes after the
+    last fold that found v with capacity 2 or more. At each "reuse" replay,
+    v's colored edges are those of a graph where v has capacity 1, so they
+    share one color that later replays never change: it is looked up once
+    per vertex.
+    """
+    shared: dict[int, int] = {}
     for kind, eid, v in reversed(actions):
         if kind == "fresh":
             colors[eid] = total
             total += 1
         else:
-            colors[eid] = min(
-                colors[e] for e, _ in g.adj[v] if colors[e] is not None
-            )
+            if v not in shared:
+                shared[v] = min(
+                    colors[e] for e, _ in g.adj[v] if colors[e] is not None
+                )
+            colors[eid] = shared[v]
     return total
 
 
 def _components(g: Graph, caps):
     """Per component: vertices, global edge ids, local edge list, local caps."""
-    for comp in g.connected_components():
-        local = {v: i for i, v in enumerate(comp)}
-        edge_ids = [
-            eid for eid, (u, v) in enumerate(g.edges) if u in local
-        ]
-        local_edges = [
-            (local[g.edges[eid][0]], local[g.edges[eid][1]]) for eid in edge_ids
-        ]
-        yield comp, edge_ids, local_edges, [caps[v] for v in comp]
+    comps = g.connected_components()
+    comp_of = [0] * g.n
+    local = [0] * g.n
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            comp_of[v] = c
+            local[v] = i
+    edge_ids: list[list[int]] = [[] for _ in comps]
+    for eid, (u, _) in enumerate(g.edges):
+        edge_ids[comp_of[u]].append(eid)
+    for comp, ids in zip(comps, edge_ids):
+        local_edges = [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in ids]
+        yield comp, ids, local_edges, [caps[v] for v in comp]
 
 
-def _plan(n: int, edges) -> tuple[list[bool], int]:
-    """Per-edge "last at both endpoints" flags, and the edge id where the
-    trailing run of such edges starts."""
+def _plan(n: int, edges) -> list[bool]:
+    """Per-edge flags: the edge is the last one at both its endpoints."""
     last = [-1] * n
     for eid, (u, v) in enumerate(edges):
         last[u] = last[v] = eid
-    dead = [last[u] == eid == last[v] for eid, (u, v) in enumerate(edges)]
-    start = len(edges)
-    while start > 0 and dead[start - 1]:
-        start -= 1
-    return dead, start
+    return [last[u] == eid == last[v] for eid, (u, v) in enumerate(edges)]
 
 
-def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False):
-    """Best class count (and an assignment per edge id) for one component.
-
-    With ``stop_at`` the search stops once that many classes are reached, so
-    the result is ``min``-exact: it equals the true optimum whenever that
-    optimum is below the stop value. ``prune_below`` additionally discards
-    branches that cannot reach ``stop_at``; the result then only answers
-    whether the optimum meets the stop value.
-    """
+def _search(n: int, edges, caps):
+    """Best class count and an assignment per edge id for one component."""
     m = len(edges)
-    dead, suffix_start = _plan(n, edges)
+    dead = _plan(n, edges)
     pal = [0] * n  # palette bitmask per vertex
     size = [0] * n
     left = [0] * n  # uncolored incident edges per vertex
@@ -247,7 +215,6 @@ def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False)
     assign = [0] * m  # by edge id
     best = 0
     best_assign: list[int] | None = None
-    done = False
 
     def feasible_new(u: int, v: int) -> bool:
         return size[u] < caps[u] and size[v] < caps[v]
@@ -265,48 +232,14 @@ def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False)
             return (pal[v] & -pal[v]).bit_length() - 1
         return 0 if classes > 0 else None
 
-    def finish_suffix(pos: int, classes: int) -> None:
-        # remaining edges are pairwise vertex-disjoint, so their choices are
-        # independent and the optimum is computed directly
-        nonlocal best, best_assign, done
-        extra = 0
-        chosen = []
-        for i in range(pos, m):
-            u, v = edges[i]
-            if feasible_new(u, v):
-                chosen.append(classes + extra)
-                extra += 1
-            else:
-                a = min_old(u, v, classes)
-                if a is None:
-                    return
-                chosen.append(a)
-        total = classes + extra
-        if total > best:
-            best = total
-            snapshot = assign[:pos] + chosen
-            best_assign = snapshot
-            if stop_at is not None and best >= stop_at:
-                done = True
-
     def step(pos: int, classes: int) -> None:
-        nonlocal best, best_assign, done
-        if done:
-            return
+        nonlocal best, best_assign
         if pos == m:
             if classes > best:
                 best = classes
                 best_assign = assign[:]
-                if stop_at is not None and best >= stop_at:
-                    done = True
             return
-        potential = classes + min(m - pos, state["room"] // 2)
-        if potential <= best:
-            return
-        if prune_below and stop_at is not None and potential < stop_at:
-            return
-        if pos >= suffix_start:
-            finish_suffix(pos, classes)
+        if classes + min(m - pos, state["room"] // 2) <= best:
             return
         u, v = edges[pos]
         if dead[pos]:
@@ -351,8 +284,6 @@ def _search(n: int, edges, caps, stop_at: int | None, prune_below: bool = False)
                     pal[w] &= ~bit
                     size[w] -= 1
                     state["room"] += 1
-            if done:
-                return
 
     step(0, 0)
     return best, best_assign

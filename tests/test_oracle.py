@@ -73,18 +73,19 @@ def test_matches_naive_enumeration_exhaustively():
 
 
 def test_threshold_agrees_with_exact():
+    # sigma_threshold answers through sigma_exact, so it is checked against
+    # the pruning-free enumerator rather than against sigma_exact
     for g in connected_graphs_upto(5):
-        s = sigma_exact(g, edge_limit=None).sigma
+        s = dumb_sigma(g)
         for k in range(-1, g.n + 2):
             assert sigma_threshold(g, k, edge_limit=None) == (s >= k), (g.edges, k)
 
 
 def test_threshold_on_disconnected_graphs():
     g = Graph(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)])
-    s = sigma_exact(g, edge_limit=None).sigma
-    assert s == 7
+    assert sigma_exact(g, edge_limit=None).sigma == 7
     for k in range(0, 10):
-        assert sigma_threshold(g, k, edge_limit=None) == (s >= k)
+        assert sigma_threshold(g, k, edge_limit=None) == (7 >= k)
 
 
 def test_capacity_profiles_exhaustively():
@@ -241,3 +242,18 @@ def test_pendant_folding_scales_to_a_big_tree():
     assert check.valid and check.colors_used == res.sigma
     assert sigma_threshold(tree, res.sigma, edge_limit=None)
     assert not sigma_threshold(tree, res.sigma + 1, edge_limit=None)
+
+
+def test_many_components_and_a_wide_star():
+    # a thousand components, and a star center whose folded leaves after
+    # the first all repeat its one remaining color
+    triangles = [
+        e for i in range(1000)
+        for e in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2), (3 * i, 3 * i + 2))
+    ]
+    star = [(3000, 3001 + i) for i in range(4000)]
+    g = Graph(7001, triangles + star)
+    res = sigma_exact(g, edge_limit=None)
+    assert res.sigma == 3002
+    check = verify_coloring(g, res.witness)
+    assert check.valid and check.colors_used == 3002
