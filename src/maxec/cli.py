@@ -266,13 +266,7 @@ def _cmd_kernel(args) -> int:
     if sidecar is None and args.out not in (None, "-"):
         sidecar = args.out + ".lift"
     if sidecar is not None:
-        lines = [f"p lift {g.n} {verdict.graph.n}"]
-        lines.extend(
-            f"m {i + 1} {orig + 1}"
-            for i, orig in enumerate(result.lifting.vertex_map)
-        )
-        lines.extend(result.lifting.sidecar_lines())
-        _write(sidecar, "\n".join(lines) + "\n")
+        _write(sidecar, result.lifting.sidecar(g.n))
     return EXIT_YES
 
 

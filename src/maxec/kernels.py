@@ -9,13 +9,15 @@ original:
   keeps only a bounded number of members;
 * dual (threshold n - k for the deficit k): a graph with a vertex of degree
   above 3k + 6 is a No-instance, and an adjacent pair of degree-2 vertices
-  can be contracted, shifting the optimum down by exactly one;
+  can be contracted, shifting the optimum down by exactly one; the
+  contractions run in one linear ascending pass;
 * four-cycle-free: private degree-1 neighbors of a cover vertex beyond the
   second are redundant, and the optimum is preserved exactly.
 
-Reduced graphs are renumbered to contiguous ids; ``Lifting.vertex_map``
-maps them back and ``lift_coloring`` replays deletions and contractions in
-reverse.
+Every rule compacts its reduced graph with ``Graph.without_vertices``, so
+reduced graphs are renumbered to contiguous ids; ``Lifting.vertex_map``
+maps them back, ``lift_coloring`` replays deletions and contractions in
+reverse, and ``Lifting.sidecar`` renders the lifting as a document.
 """
 
 from __future__ import annotations
@@ -62,16 +64,19 @@ class Lifting:
     vertex_map: tuple[int, ...]
     actions: tuple[tuple, ...] = ()
 
-    def sidecar_lines(self) -> tuple[str, ...]:
-        """Line rendering of the actions, 1-based like the graph format."""
-        out = []
+    def sidecar(self, n: int) -> str:
+        """The lifting sidecar document for an original graph on ``n``
+        vertices, 1-based like the graph format: a ``p lift`` header, one
+        ``m`` line per reduced vertex, then one line per action."""
+        lines = [f"p lift {n} {len(self.vertex_map)}"]
+        lines.extend(f"m {i + 1} {orig + 1}" for i, orig in enumerate(self.vertex_map))
         for action in self.actions:
             if action[0] == "del":
-                out.append(f"del {action[1] + 1}")
+                lines.append(f"del {action[1] + 1}")
             else:
                 _, v, u, vp = action
-                out.append(f"contract {v + 1} into {u + 1} via {vp + 1}")
-        return tuple(out)
+                lines.append(f"contract {v + 1} into {u + 1} via {vp + 1}")
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -123,18 +128,21 @@ def kernelize_standard(g: Graph, k: int) -> KernelResult:
     if isinstance(pre, (ForcedNo, ForcedYes)):
         return KernelResult(pre, None)
     assert isinstance(pre, Continue)
-    deleted: set[int] = set()
     actions = []
     for cls in neighborhood_classes(g, pre.cover):
         bound = max(CLASS_FLOOR, len(cls.T) + 1)
         if len(cls.members) <= bound:
             continue
         twin = cls.members[0] if cls.T else None
-        for v in cls.members[bound:]:
-            deleted.add(v)
-            actions.append(("del", v, twin))
+        actions.extend(("del", v, twin) for v in cls.members[bound:])
     actions.sort(key=lambda a: a[1])
-    reduced, vmap = g.without_vertices(deleted)
+    return _compact(g, k, actions)
+
+
+def _compact(g: Graph, k: int, actions: list[tuple]) -> KernelResult:
+    """Reduced instance without the vertices the actions removed (each
+    action names its removed vertex second), plus the lifting."""
+    reduced, vmap = g.without_vertices(a[1] for a in actions)
     return KernelResult(Reduced(reduced, k), Lifting(vmap, tuple(actions)))
 
 
@@ -176,7 +184,6 @@ def kernelize_c4free(g: Graph, k: int) -> KernelResult:
         return KernelResult(pre, None)
     assert isinstance(pre, Continue)
     inside = set(pre.cover)
-    deleted: set[int] = set()
     actions = []
     for v in sorted(inside):
         private = sorted(
@@ -184,58 +191,25 @@ def kernelize_c4free(g: Graph, k: int) -> KernelResult:
             if w not in inside and g.degree(w) == 1
         )
         twin = private[0] if private else None
-        for w in private[PRIVATE_KEEP:]:
-            deleted.add(w)
-            actions.append(("del", w, twin))
-    for v in range(g.n):
-        if v not in inside and g.degree(v) == 0:
-            deleted.add(v)
-            actions.append(("del", v, None))
+        actions.extend(("del", w, twin) for w in private[PRIVATE_KEEP:])
+    actions.extend(
+        ("del", v, None) for v in range(g.n) if v not in inside and g.degree(v) == 0
+    )
     actions.sort(key=lambda a: a[1])
-    reduced, vmap = g.without_vertices(deleted)
-    return KernelResult(Reduced(reduced, k), Lifting(vmap, tuple(actions)))
+    return _compact(g, k, actions)
 
 
-class _Scratch:
-    """Mutable adjacency over original ids for the contraction loop."""
-
-    def __init__(self, g: Graph):
-        self.n = g.n
-        self.alive = set(range(g.n))
-        self.nbrs = {v: set(g.neighbors(v)) for v in range(g.n)}
-
-    def contract(self, v: int, u: int, vp: int) -> None:
-        self.nbrs[u].discard(v)
-        self.nbrs[vp].discard(v)
-        del self.nbrs[v]
-        self.alive.discard(v)
-        self.nbrs[u].add(vp)
-        self.nbrs[vp].add(u)
-
-    def find_pair(self):
-        """First (u, v, vprime) in scan order with u, v adjacent degree-2
-        vertices and the bridge (u, vprime) not yet an edge."""
-        for u in sorted(self.alive):
-            if len(self.nbrs[u]) != 2:
-                continue
-            for v in sorted(self.nbrs[u]):
-                if len(self.nbrs[v]) != 2:
-                    continue
-                (vp,) = self.nbrs[v] - {u}
-                if vp not in self.nbrs[u]:
-                    return u, v, vp
+def _contractible(nbrs: list[set[int]], u: int):
+    """``(v, vprime)`` for the smallest degree-2 neighbor v of the degree-2
+    vertex u whose other neighbor vprime is not adjacent to u, else None."""
+    if len(nbrs[u]) != 2:
         return None
-
-    def to_graph(self) -> tuple[Graph, tuple[int, ...]]:
-        keep = sorted(self.alive)
-        index = {v: i for i, v in enumerate(keep)}
-        edges = sorted(
-            (index[v], index[w])
-            for v in keep
-            for w in self.nbrs[v]
-            if v < w
-        )
-        return Graph(len(keep), edges), tuple(keep)
+    for v in sorted(nbrs[u]):
+        if len(nbrs[v]) == 2:
+            (vp,) = nbrs[v] - {u}
+            if vp not in nbrs[u]:
+                return v, vp
+    return None
 
 
 def kernelize_dual(g: Graph, k: int) -> KernelResult:
@@ -243,41 +217,39 @@ def kernelize_dual(g: Graph, k: int) -> KernelResult:
 
     A vertex of degree above 3k + 6 already forces No. Otherwise every
     adjacent degree-2 pair (u, v) with the bridge (u, v') absent is
-    contracted: the optimum drops by exactly one while n drops by one, so
-    the question is unchanged. Pairs closing a triangle are skipped to
-    stay simple.
+    contracted: v is deleted and (u, v') bridged, so the optimum drops by
+    exactly one while n drops by one and the question is unchanged. Pairs
+    closing a triangle are skipped to stay simple.
+
+    The contractions run in one ascending pass: at each vertex u, contract
+    (u, v) with the smallest qualifying v for as long as one exists. This
+    reaches the fixpoint that always contracts at the smallest vertex able
+    to contract, with the same actions in the same order. A contraction
+    changes no vertex's degree, and it only touches its own maximal chain
+    of degree-2 vertices, so chains shrink independently of each other.
+    The smallest vertex of a chain that can still shrink is the one the
+    pass reaches first, and it survives every contraction it makes. Each
+    contraction deletes a vertex, so the pass takes linear time.
     """
     if k < 0:
         raise ValueError("deficit must be nonnegative")
     if g.max_degree() > 3 * k + 6:
         return KernelResult(ForcedNo(), None)
-    scratch = _Scratch(g)
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     actions = []
-    while True:
-        hit = scratch.find_pair()
-        if hit is None:
-            break
-        u, v, vp = hit
-        scratch.contract(v, u, vp)
-        actions.append(("contract", v, u, vp))
-    reduced, vmap = scratch.to_graph()
-    return KernelResult(Reduced(reduced, k), Lifting(vmap, tuple(actions)))
-
-
-def contract_adjacent_degree_two(g: Graph):
-    """One contraction step, or None when no pair qualifies.
-
-    Returns ``(graph, lifting)``; the optimum of ``graph`` is exactly one
-    below the optimum of ``g``.
-    """
-    scratch = _Scratch(g)
-    hit = scratch.find_pair()
-    if hit is None:
-        return None
-    u, v, vp = hit
-    scratch.contract(v, u, vp)
-    reduced, vmap = scratch.to_graph()
-    return reduced, Lifting(vmap, (("contract", v, u, vp),))
+    for u in range(g.n):
+        while (hit := _contractible(nbrs, u)) is not None:
+            v, vp = hit
+            nbrs[u].remove(v)
+            nbrs[u].add(vp)
+            nbrs[vp].remove(v)
+            nbrs[vp].add(u)
+            nbrs[v].clear()
+            actions.append(("contract", v, u, vp))
+    bridged = Graph(
+        g.n, sorted((u, w) for u in range(g.n) for w in nbrs[u] if u < w)
+    )
+    return _compact(bridged, k, actions)
 
 
 def lift_coloring(original: Graph, reduced: Graph, lifting: Lifting,

@@ -219,18 +219,18 @@ def _search(n: int, edges, caps):
     def feasible_new(u: int, v: int) -> bool:
         return size[u] < caps[u] and size[v] < caps[v]
 
-    def min_old(u: int, v: int, classes: int) -> int | None:
+    def min_old(u: int, v: int) -> int | None:
+        """Smallest old class fitting (u, v). Called only when a new class
+        does not fit, so some endpoint is full and the class comes from its
+        palette."""
         full_u, full_v = size[u] >= caps[u], size[v] >= caps[v]
         if full_u and full_v:
             both = pal[u] & pal[v]
             if both == 0:
                 return None
             return (both & -both).bit_length() - 1
-        if full_u:
-            return (pal[u] & -pal[u]).bit_length() - 1
-        if full_v:
-            return (pal[v] & -pal[v]).bit_length() - 1
-        return 0 if classes > 0 else None
+        full = pal[u] if full_u else pal[v]
+        return (full & -full).bit_length() - 1
 
     def step(pos: int, classes: int) -> None:
         nonlocal best, best_assign
@@ -246,13 +246,13 @@ def _search(n: int, edges, caps):
             if feasible_new(u, v):
                 candidates = (classes,)
             else:
-                a = min_old(u, v, classes)
+                a = min_old(u, v)
                 if a is None:
                     return
                 candidates = (a,)
         else:
             candidates = []
-            if classes < m and feasible_new(u, v):
+            if feasible_new(u, v):
                 candidates.append(classes)
             for a in range(classes):
                 bit = 1 << a

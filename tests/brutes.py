@@ -1,9 +1,10 @@
 """Independent brute-force helpers used to validate the library.
 
 Everything here is deliberately naive and shares no code with the package
-internals: a pruning-free enumerator for the maximum color count, and an
-orbit-marking enumeration of isomorphism-distinct connected graphs. The one
-exception is ``ref_palette_search``, which feeds the reference palette
+internals: a pruning-free enumerator for the maximum color count, an
+orbit-marking enumeration of isomorphism-distinct connected graphs, and a
+restart-from-the-smallest-vertex run of the dual kernel's contractions.
+The one exception is ``ref_palette_search``, which feeds the reference palette
 enumeration into the solver's own per-palette search, so that a test can
 compare the pruned enumeration alone against it.
 """
@@ -101,6 +102,45 @@ def connected_graphs_upto(n: int) -> list[Graph]:
     for size in range(1, n + 1):
         out.extend(connected_graphs(size))
     return out
+
+
+def ref_kernelize_dual(g: Graph):
+    """The dual kernel's degree-2 contractions as a plain fixpoint loop.
+
+    Each round scans the live vertices in ascending order for the first
+    degree-2 vertex u with a degree-2 neighbor v (smallest first) whose
+    other neighbor v' is not adjacent to u, deletes v, bridges (u, v'),
+    and starts the scan over. Returns the reduced graph on the surviving
+    vertices renumbered in order, with its edges sorted, the map from new
+    ids to old ones, and the actions ``("contract", v, u, v')`` in order.
+    """
+    alive = set(range(g.n))
+    nbrs = {v: set(g.neighbors(v)) for v in range(g.n)}
+    actions = []
+
+    def first_pair():
+        for u in sorted(alive):
+            if len(nbrs[u]) != 2:
+                continue
+            for v in sorted(nbrs[u]):
+                if len(nbrs[v]) != 2:
+                    continue
+                (vp,) = nbrs[v] - {u}
+                if vp not in nbrs[u]:
+                    return u, v, vp
+        return None
+
+    while (hit := first_pair()) is not None:
+        u, v, vp = hit
+        nbrs[u] = nbrs[u] - {v} | {vp}
+        nbrs[vp] = nbrs[vp] - {v} | {u}
+        del nbrs[v]
+        alive.remove(v)
+        actions.append(("contract", v, u, vp))
+    keep = sorted(alive)
+    index = {v: i for i, v in enumerate(keep)}
+    edges = sorted((index[v], index[w]) for v in keep for w in nbrs[v] if v < w)
+    return Graph(len(keep), edges), tuple(keep), tuple(actions)
 
 
 def all_capacity_maps(n: int):

@@ -23,11 +23,11 @@ from maxec.generators import (
 from maxec.graphs import Graph, ValidityProfile, is_two_factor, verify_coloring
 from maxec.kernels import (
     Reduced,
-    contract_adjacent_degree_two,
     has_c4,
     kernelize_c4free,
     kernelize_dual,
     kernelize_standard,
+    lift_coloring,
     neighborhood_classes,
 )
 from maxec.matching import (
@@ -85,13 +85,13 @@ def _kernel_suite() -> tuple[Graph, ...]:
 
 def test_01_solver_agrees_with_the_oracle_everywhere():
     for g in _connected_family():
+        sigma = sigma_exact(g, edge_limit=None).sigma
         for k in range(g.n + 1):
-            want = sigma_threshold(g, k, edge_limit=None)
-            assert solve_exact(g, k).yes == want, (g.edges, k)
+            assert solve_exact(g, k).yes == (sigma >= k), (g.edges, k)
     for g in _random_suite():
+        sigma = sigma_exact(g, edge_limit=None).sigma
         for k in range(g.n + 1):
-            want = sigma_threshold(g, k, edge_limit=None)
-            assert solve_exact(g, k).yes == want, (g.n, g.edges, k)
+            assert solve_exact(g, k).yes == (sigma >= k), (g.n, g.edges, k)
 
 
 def test_02_full_color_spread_characterizes_cycle_covers():
@@ -120,21 +120,21 @@ def test_03_matching_size_bounds_the_optimum_from_below():
 
 def test_04_standard_kernel_keeps_the_verdict_and_its_promised_shape():
     for g in _kernel_suite():
+        sigma = sigma_exact(g, edge_limit=None).sigma
         for k in (3, 4):
             res = kernelize_standard(g, k)
             verdict = res.verdict
             if isinstance(verdict, ForcedYes):
-                assert sigma_threshold(g, k, edge_limit=None), (g.edges, k)
+                assert sigma >= k, (g.edges, k)
                 check = verify_coloring(g, verdict.witness)
                 assert check.valid and check.colors_used == k
                 continue
             if isinstance(verdict, ForcedNo):
-                assert not sigma_threshold(g, k, edge_limit=None), (g.edges, k)
+                assert sigma < k, (g.edges, k)
                 continue
             assert isinstance(verdict, Reduced)
-            before = sigma_threshold(g, k, edge_limit=None)
             after = sigma_threshold(verdict.graph, verdict.k, edge_limit=None)
-            assert before == after, (g.edges, k)
+            assert (sigma >= k) == after, (g.edges, k)
             pre = matching_preprocess(g, k)
             assert isinstance(pre, Continue)
             cover = set(pre.cover)
@@ -149,18 +149,26 @@ def test_04_standard_kernel_keeps_the_verdict_and_its_promised_shape():
 
 
 def test_05_one_contraction_lowers_the_optimum_by_exactly_one():
+    # a deficit of n keeps the degree rule silent, so only contractions act
     rng = random.Random(505)
-    done = 0
+    done = single = 0
     while done < 100:
         g = gen_random(rng.randint(5, 9), rng.uniform(0.15, 0.4), rng.randrange(1 << 30))
         if not 1 <= g.m <= 12:
             continue
-        hit = contract_adjacent_degree_two(g)
-        if hit is None:
+        res = kernelize_dual(g, g.n)
+        steps = len(res.lifting.actions)
+        if steps == 0:
             continue
-        reduced, _ = hit
-        assert sigma_exact(g).sigma == sigma_exact(reduced).sigma + 1, g.edges
+        single += steps == 1
+        reduced = res.verdict.graph
+        witness = sigma_exact(reduced).witness
+        assert sigma_exact(g).sigma == witness.k + steps, g.edges
+        lifted = lift_coloring(g, reduced, res.lifting, witness)
+        check = verify_coloring(g, lifted)
+        assert check.valid and check.colors_used == witness.k + steps, g.edges
         done += 1
+    assert single > 0
     # a blown-up vertex forces a negative answer at deficit zero, and the
     # oracle can still confirm it on eight vertices
     for seed in range(3):
@@ -180,17 +188,6 @@ def test_05_one_contraction_lowers_the_optimum_by_exactly_one():
         assert isinstance(res.verdict, ForcedNo)
 
 
-def _drop_vertices(g: Graph, victims: set) -> Graph:
-    keep = [v for v in range(g.n) if v not in victims]
-    remap = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in g.edges
-        if u not in victims and v not in victims
-    ]
-    return Graph(len(keep), edges)
-
-
 def test_06_damaged_cycle_covers_shrink_linearly_in_the_deficit():
     # a cycle cover minus d <= k vertices keeps sigma >= n' - k: each
     # deletion turns one cycle into paths, losing at most two colors
@@ -201,7 +198,8 @@ def test_06_damaged_cycle_covers_shrink_linearly_in_the_deficit():
             n = rng.randint(80, 200)
             g = gen_two_factor(n, rng.randrange(1 << 30))
             victims = set(rng.sample(range(n), rng.randint(1, k)))
-            res = kernelize_dual(_drop_vertices(g, victims), k)
+            damaged, _ = g.without_vertices(victims)
+            res = kernelize_dual(damaged, k)
             assert isinstance(res.verdict, Reduced)
             assert res.verdict.graph.n <= 150 * k, (n, k, res.verdict.graph.n)
 

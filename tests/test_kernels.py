@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+from brutes import ref_kernelize_dual
 from maxec import (
+    EdgeColoring,
     ForcedNo,
     ForcedYes,
     Graph,
+    gen_two_factor,
     sigma_exact,
     sigma_threshold,
     solve_exact,
@@ -17,7 +20,6 @@ from maxec import (
 from maxec.kernels import (
     FourCycleError,
     Reduced,
-    contract_adjacent_degree_two,
     has_c4,
     kernelize_c4free,
     kernelize_dual,
@@ -27,6 +29,8 @@ from maxec.kernels import (
 )
 from maxec.matching import Continue, matching_preprocess
 
+P3 = Graph(3, [(0, 1), (1, 2)])
+P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 C3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -62,7 +66,9 @@ class TestStandardKernel:
         assert reduced.n == 12 and reduced.m == 11
         assert res.verdict.k == 4
         assert len(res.lifting.actions) == 19
-        assert all(line.startswith("del ") for line in res.lifting.sidecar_lines())
+        lines = res.lifting.sidecar(g.n).splitlines()
+        assert lines[0] == "p lift 31 12" and len(lines) == 1 + 12 + 19
+        assert all(line.startswith("del ") for line in lines[13:])
         # the answer is unchanged: a star never reaches 4 colors
         assert sigma_exact(reduced).sigma == 2
         assert not sigma_threshold(reduced, 4)
@@ -131,20 +137,24 @@ class TestDualKernel:
         assert isinstance(res.verdict, Reduced)
         assert res.verdict.graph == Graph(3, [(0, 1), (1, 2)])
         assert res.lifting.vertex_map == (0, 1, 4)
-        assert res.lifting.sidecar_lines() == (
-            "contract 3 into 2 via 4",
-            "contract 4 into 2 via 5",
+        assert res.lifting.sidecar(P5.n) == (
+            "p lift 5 3\n"
+            "m 1 1\nm 2 2\nm 3 5\n"
+            "contract 3 into 2 via 4\n"
+            "contract 4 into 2 via 5\n"
         )
 
     def test_single_step_shortens_path_by_one(self):
-        step = contract_adjacent_degree_two(P5)
-        assert step is not None
-        reduced, lifting = step
-        assert reduced == Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert lifting.actions == (("contract", 2, 1, 3),)
+        # P4 takes exactly the first of P5's two steps
+        res = kernelize_dual(P4, P4.n)
+        assert res.verdict.graph == P3
+        assert res.lifting.vertex_map == (0, 1, 3)
+        assert res.lifting.actions == (("contract", 2, 1, 3),)
 
     def test_no_pair_on_short_path(self):
-        assert contract_adjacent_degree_two(Graph(3, [(0, 1), (1, 2)])) is None
+        res = kernelize_dual(P3, P3.n)
+        assert res.verdict.graph == P3
+        assert res.lifting.actions == ()
 
     def test_triangle_is_a_fixpoint(self):
         for k in (0, 1, 2):
@@ -177,20 +187,57 @@ class TestDualKernel:
         )
 
     def test_single_step_shift_random(self):
+        # a deficit of n keeps the degree rule silent
         rng = random.Random(7)
-        applied = 0
+        applied = single = 0
         while applied < 100:
             g = _random_graph(rng)
-            step = contract_adjacent_degree_two(g)
-            if step is None:
+            res = kernelize_dual(g, g.n)
+            steps = len(res.lifting.actions)
+            if steps == 0:
                 continue
             applied += 1
-            reduced, lifting = step
-            assert sigma_exact(g).sigma == sigma_exact(reduced).sigma + 1
+            single += steps == 1
+            reduced = res.verdict.graph
+            want = sigma_exact(g).sigma
+            assert reduced.n == g.n - steps
             witness = sigma_exact(reduced).witness
-            lifted = lift_coloring(g, reduced, lifting, witness)
+            assert want == witness.k + steps
+            lifted = lift_coloring(g, reduced, res.lifting, witness)
             assert verify_coloring(g, lifted).valid
-            assert lifted.k == witness.k + 1
+            assert lifted.k == want
+        assert single > 0
+
+    def test_matches_the_restarting_fixpoint(self):
+        rng = random.Random(99)
+        graphs = [_random_graph(rng, n_max=14, m_max=30) for _ in range(600)]
+        for _ in range(200):
+            n = rng.randint(3, 60)
+            g = gen_two_factor(n, rng.randrange(1 << 30))
+            victims = rng.sample(range(n), rng.randint(0, 3))
+            g, _ = g.without_vertices(victims)
+            pairs = list(itertools.combinations(range(g.n), 2))
+            drawn = rng.sample(pairs, min(rng.randint(0, 3), len(pairs)))
+            chords = [e for e in drawn if not g.has_edge(*e)]
+            graphs.append(Graph(g.n, list(g.edges) + chords))
+        for g in graphs:
+            res = kernelize_dual(g, g.n)
+            reduced, vertex_map, actions = ref_kernelize_dual(g)
+            assert res.verdict.graph == reduced, g.edges
+            assert res.lifting.vertex_map == vertex_map, g.edges
+            assert res.lifting.actions == actions, g.edges
+
+    def test_two_factor_at_scale(self):
+        for seed in (1, 2):
+            g = gen_two_factor(20000, seed)
+            cycles = len(g.connected_components())
+            res = kernelize_dual(g, 0)
+            reduced = res.verdict.graph
+            assert reduced.n == reduced.m == 3 * cycles
+            distinct = EdgeColoring(range(reduced.m))
+            lifted = lift_coloring(g, reduced, res.lifting, distinct)
+            check = verify_coloring(g, lifted)
+            assert check.valid and check.colors_used == g.n
 
     def test_lift_reaches_original_optimum(self):
         res = kernelize_dual(P5, 1)
