@@ -40,8 +40,7 @@ class Graph:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
-        norm: list[tuple[int, int]] = []
-        index: dict[tuple[int, int], int] = {}
+        index: dict[tuple[int, int], int] = {}  # insertion order is id order
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for pair in edges:
             u, v = pair
@@ -51,15 +50,13 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in index:
+            eid = len(index)
+            if index.setdefault((u, v), eid) != eid:
                 raise GraphError(f"duplicate edge ({u}, {v})")
-            eid = len(norm)
-            index[(u, v)] = eid
-            norm.append((u, v))
             adj[u].append((eid, v))
             adj[v].append((eid, u))
-        self.edges = tuple(norm)
-        self.adj = tuple(tuple(entries) for entries in adj)
+        self.edges = tuple(index)
+        self.adj = tuple(map(tuple, adj))
         self._index = index
 
     @property

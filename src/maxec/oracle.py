@@ -14,12 +14,23 @@ adding, merging or splitting one class (``_fold_pendants``), so the optimum
 is preserved exactly; the tests cross-check the oracle against a
 pruning-free enumerator.
 
-One further device cuts the search itself, justified by a local exchange
-argument: an edge that is the last uncolored edge at both endpoints is
-forced. A brand-new class dominates when both palettes have room (recoloring
-that edge to a fresh color in any completed partition stays valid and gains
-a class), and otherwise all feasible old classes are future-equivalent, so
-the smallest is taken.
+The search is one loop with an undo record per position, so its depth is
+not bounded by the recursion limit. At edge (u, v), an endpoint has room
+when its palette is below capacity. The new class fits iff both have room;
+the old classes that fit are one bitmask, all classes at an endpoint with
+room and its palette at a full one, intersected over u and v. The new class
+is tried first, then the old ones ascending, which fixes the witness.
+
+An edge that is the last at both endpoints takes its first candidate only.
+If the new class fits, recoloring that edge to a fresh color in any
+completed partition stays valid and gains a class. Otherwise no later edge
+touches u or v, so all fitting old classes are future-equivalent.
+
+Backing up to position pos, its remaining old classes are skipped once
+``classes + (m - pos - 1) <= best``: an old class keeps ``classes``, so the
+next position would fail its entry bound ``classes + min(m - pos - 1,
+room // 2) > best`` at once. Without the skip a long cycle tries every old class at every
+position after its first optimum, which is quadratic.
 
 Connected components are solved independently and summed; the number of
 colors is additive because components can always use disjoint palettes.
@@ -193,97 +204,78 @@ def _components(g: Graph, caps):
         yield comp, ids, local_edges, [caps[v] for v in comp]
 
 
-def _plan(n: int, edges) -> list[bool]:
-    """Per-edge flags: the edge is the last one at both its endpoints."""
-    last = [-1] * n
-    for eid, (u, v) in enumerate(edges):
-        last[u] = last[v] = eid
-    return [last[u] == eid == last[v] for eid, (u, v) in enumerate(edges)]
-
-
 def _search(n: int, edges, caps):
     """Best class count and an assignment per edge id for one component."""
     m = len(edges)
-    dead = _plan(n, edges)
+    last = [-1] * n  # position of the last edge per vertex
+    for pos, (u, v) in enumerate(edges):
+        last[u] = last[v] = pos
     pal = [0] * n  # palette bitmask per vertex
     size = [0] * n
-    left = [0] * n  # uncolored incident edges per vertex
-    for u, v in edges:
-        left[u] += 1
-        left[v] += 1
-    state = {"room": sum(caps[v] for v in range(n) if left[v] > 0)}
-    assign = [0] * m  # by edge id
-    best = 0
+    room = sum(caps[v] for v in range(n) if last[v] >= 0)
+    assign = [0] * m  # class per position
+    gained = [0] * m  # undo flags per position: 1 u, 2 v, 4 new class
+    rest = [0] * m  # old classes still to try per position
+    best = classes = pos = 0
     best_assign: list[int] | None = None
-
-    def feasible_new(u: int, v: int) -> bool:
-        return size[u] < caps[u] and size[v] < caps[v]
-
-    def min_old(u: int, v: int) -> int | None:
-        """Smallest old class fitting (u, v). Called only when a new class
-        does not fit, so some endpoint is full and the class comes from its
-        palette."""
-        full_u, full_v = size[u] >= caps[u], size[v] >= caps[v]
-        if full_u and full_v:
-            both = pal[u] & pal[v]
-            if both == 0:
-                return None
-            return (both & -both).bit_length() - 1
-        full = pal[u] if full_u else pal[v]
-        return (full & -full).bit_length() - 1
-
-    def step(pos: int, classes: int) -> None:
-        nonlocal best, best_assign
+    while True:
+        a = -1
         if pos == m:
             if classes > best:
-                best = classes
-                best_assign = assign[:]
-            return
-        if classes + min(m - pos, state["room"] // 2) <= best:
-            return
+                best, best_assign = classes, assign[:]
+        elif classes + min(m - pos, room // 2) > best:
+            u, v = edges[pos]
+            ru, rv = size[u] < caps[u], size[v] < caps[v]
+            every = (1 << classes) - 1
+            old = (every if ru else pal[u]) & (every if rv else pal[v])
+            if ru and rv:
+                a = classes
+            elif old:
+                a = (old & -old).bit_length() - 1
+                old &= old - 1
+            rest[pos] = 0 if last[u] == pos == last[v] else old
+        while a < 0:  # back up to the last position with a class to try
+            if pos == 0:
+                return best, best_assign
+            pos -= 1
+            u, v = edges[pos]
+            bit, flags = 1 << assign[pos], gained[pos]
+            if last[u] == pos:
+                room += caps[u] - size[u]
+            if last[v] == pos:
+                room += caps[v] - size[v]
+            if flags & 1:
+                pal[u] ^= bit
+                size[u] -= 1
+                room += 1
+            if flags & 2:
+                pal[v] ^= bit
+                size[v] -= 1
+                room += 1
+            if flags & 4:
+                classes -= 1
+            old = rest[pos]
+            if old and classes + m - pos - 1 > best:
+                a = (old & -old).bit_length() - 1
+                rest[pos] = old & (old - 1)
         u, v = edges[pos]
-        if dead[pos]:
-            if feasible_new(u, v):
-                candidates = (classes,)
-            else:
-                a = min_old(u, v)
-                if a is None:
-                    return
-                candidates = (a,)
-        else:
-            candidates = []
-            if feasible_new(u, v):
-                candidates.append(classes)
-            for a in range(classes):
-                bit = 1 << a
-                if (pal[u] & bit or size[u] < caps[u]) and (
-                    pal[v] & bit or size[v] < caps[v]
-                ):
-                    candidates.append(a)
-        for a in candidates:
-            bit = 1 << a
-            undo = []
-            for w in (u, v):
-                if not pal[w] & bit:
-                    pal[w] |= bit
-                    size[w] += 1
-                    state["room"] -= 1
-                    undo.append((w, True))
-                else:
-                    undo.append((w, False))
-                left[w] -= 1
-                if left[w] == 0:
-                    state["room"] -= caps[w] - size[w]
-            assign[pos] = a
-            step(pos + 1, classes + 1 if a == classes else classes)
-            for w, added in reversed(undo):
-                if left[w] == 0:
-                    state["room"] += caps[w] - size[w]
-                left[w] += 1
-                if added:
-                    pal[w] &= ~bit
-                    size[w] -= 1
-                    state["room"] += 1
-
-    step(0, 0)
-    return best, best_assign
+        bit, flags = 1 << a, 0
+        if not pal[u] & bit:
+            pal[u] |= bit
+            size[u] += 1
+            room -= 1
+            flags = 1
+        if not pal[v] & bit:
+            pal[v] |= bit
+            size[v] += 1
+            room -= 1
+            flags |= 2
+        if last[u] == pos:
+            room -= caps[u] - size[u]
+        if last[v] == pos:
+            room -= caps[v] - size[v]
+        if a == classes:
+            classes += 1
+            flags |= 4
+        assign[pos], gained[pos] = a, flags
+        pos += 1

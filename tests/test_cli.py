@@ -199,15 +199,29 @@ class TestSigma:
         assert "MEC_EDGE_LIMIT" in err
 
     def test_internal_error_is_not_a_verdict(self, cli, monkeypatch):
-        # a cycle has no pendant to fold, and the uncapped oracle recurses
-        # once per edge, past the recursion limit
-        cycle = Graph(3000, [(i, (i + 1) % 3000) for i in range(3000)])
-        monkeypatch.setenv("MEC_EDGE_LIMIT", "0")
-        code, out, err = cli("sigma", stdin=render_graph(cycle))
+        # a bug or a resource limit inside the oracle exits 4, never 1
+        def deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("maxec.cli.sigma_exact", deep)
+        code, out, err = cli("sigma", stdin=render_graph(TRIANGLE))
         assert code == 4
         assert out == ""
         assert err.startswith("internal error: RecursionError: ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_long_cycle_answers(self, cli, tmp_path):
+        # a cycle has no pendant to fold, so the oracle searches all of it
+        cycle = Graph(3000, [(i, (i + 1) % 3000) for i in range(3000)])
+        graph, witness = tmp_path / "c.gr", tmp_path / "c.col"
+        graph.write_text(render_graph(cycle))
+        code, out, _ = cli("sigma", "--edge-limit", "0", "-o", str(witness), str(graph))
+        assert code == 0
+        assert out == "sigma=3000\n"
+        code, out, _ = cli("verify", str(graph), str(witness))
+        assert code == 0
+        assert out == "VALID colors=3000\n"
 
     def test_long_path_folds_without_recursion(self, cli, monkeypatch):
         path = Graph(3000, [(i, i + 1) for i in range(2999)])

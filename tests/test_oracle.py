@@ -1,5 +1,6 @@
 """Oracle validation against an independent pruning-free enumerator."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from maxec import (
     Graph,
     OracleLimitError,
     ValidityProfile,
+    gen_two_factor,
     is_two_factor,
     sigma_exact,
     sigma_threshold,
@@ -49,6 +51,15 @@ FROZEN = {
 }
 
 
+# The witness is the first optimum the search meets: the new class first,
+# then the old classes in ascending order, and an edge that is the last at
+# both its endpoints takes the first of these. The CLI prints this witness.
+FROZEN_WITNESSES = {
+    "k4": (0, 1, 0, 2, 0, 1),
+    "k23": (0, 1, 0, 2, 3, 2),
+}
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_frozen_values(name):
     n, edges, expected = FROZEN[name]
@@ -58,6 +69,8 @@ def test_frozen_values(name):
     check = verify_coloring(g, res.witness)
     assert check.valid
     assert check.colors_used == expected
+    if name in FROZEN_WITNESSES:
+        assert res.witness.colors == FROZEN_WITNESSES[name]
 
 
 def test_matches_naive_enumeration_exhaustively():
@@ -257,3 +270,38 @@ def test_many_components_and_a_wide_star():
     assert res.sigma == 3002
     check = verify_coloring(g, res.witness)
     assert check.valid and check.colors_used == 3002
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_long_cycle_covers_search_without_recursion(seed):
+    # a cycle cover has no pendant to fold: the search walks 3000 positions
+    g = gen_two_factor(3000, seed)
+    res = sigma_exact(g, edge_limit=None)
+    assert res.sigma == 3000
+    check = verify_coloring(g, res.witness)
+    assert check.valid and check.colors_used == 3000
+
+
+def test_chorded_cycles_match_naive():
+    # chords leave no pendant, so every edge goes through the search; the
+    # naive enumerator is too slow for capacity 3 beyond ten edges
+    rng = random.Random(3)
+    for n in range(4, 10):
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        chords = [(u, v) for u, v in combinations(range(n), 2) if 1 < v - u < n - 1]
+        for _ in range(3):
+            extra = rng.sample(chords, min(len(chords), rng.randint(1, 12 - n)))
+            g = Graph(n, ring + extra)
+            profiles = [ValidityProfile(q=2)]
+            if g.m <= 10:
+                profiles.append(ValidityProfile(q=3))
+            profiles += [
+                ValidityProfile(f=caps)
+                for caps in rng.sample(list(all_capacity_maps(n)), 8)
+            ]
+            for profile in profiles:
+                want = dumb_sigma(g, list(profile.capacities(n)))
+                res = sigma_exact(g, profile, edge_limit=None)
+                assert res.sigma == want, (g.edges, profile)
+                check = verify_coloring(g, res.witness, profile)
+                assert check.valid and check.colors_used == want
