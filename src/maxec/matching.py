@@ -9,7 +9,8 @@ The preprocessing rests on two easy facts about 2-valid colorings:
   least k edges immediately.
 
 When neither rule fires, the endpoints of the maximal matching form a vertex
-cover that downstream stages (kernels, the exact solver) branch over.
+cover of at most 2k-4 vertices. The kernels use that cover as it is; the
+exact solver shrinks it to a minimum cover before it branches.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class ForcedYes:
 
 @dataclass(frozen=True)
 class Continue:
-    """Not settled; ``cover`` is a vertex cover to branch over."""
+    """Not settled; ``cover`` is the vertex cover of matched endpoints, in
+    ascending order. The kernels use it as it is, and the exact solver
+    shrinks it to a minimum cover before it branches."""
 
     cover: tuple[int, ...]
 
@@ -132,23 +135,34 @@ def max_bipartite_matching(bg: BipartiteGraph) -> dict:
     """Maximum matching via augmenting paths; returns {left label: right label}.
 
     Deterministic: left vertices are processed in their given order and
-    adjacency follows edge order.
+    adjacency follows edge order. Each augmenting-path search is a
+    depth-first walk on an explicit stack, so long paths need no recursion.
     """
     adj: dict = {a: [] for a in bg.left}
     for a, b in bg.edges:
         adj[a].append(b)
     match_right: dict = {}
-
-    def augment(a, seen) -> bool:
-        for b in adj[a]:
-            if b in seen:
+    for root in bg.left:
+        seen = set()
+        frames = [(root, iter(adj[root]))]
+        # via[i] is the right vertex that frames[i] is trying
+        via = []
+        while frames:
+            for b in frames[-1][1]:
+                if b not in seen:
+                    break
+            else:
+                frames.pop()
+                if via:
+                    via.pop()
                 continue
             seen.add(b)
-            if b not in match_right or augment(match_right[b], seen):
+            via.append(b)
+            if b in match_right:
+                a = match_right[b]
+                frames.append((a, iter(adj[a])))
+                continue
+            for (a, _), b in zip(frames, via):
                 match_right[b] = a
-                return True
-        return False
-
-    for a in bg.left:
-        augment(a, set())
+            break
     return {a: b for b, a in match_right.items()}

@@ -1,7 +1,10 @@
 """Fixed-parameter search for a 2-valid edge coloring with exactly k colors.
 
-Matching preprocessing settles easy instances. Otherwise the matched
-endpoints form a vertex cover S, and the search guesses a palette
+Matching preprocessing settles easy instances. Otherwise the search runs
+over a minimum vertex cover S, found by ``_min_cover`` with the 2r matched
+endpoints as its first incumbent, so |S| <= 2r <= 2k - 4. No step needs S
+to come from a matching: palettes sit on cover vertices, and every other
+vertex has all its neighbors in S. The search guesses a palette
 assignment tau giving each cover vertex its final color set (size 1 or 2),
 then a subset X of colors to be used on the edges inside the cover. Cover
 edges are colored by forced propagation plus two-way branching in which
@@ -510,7 +513,7 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
     if isinstance(pre, ForcedYes):
         return SolveResult(True, _checked(g, pre.witness, k), stats)
     assert isinstance(pre, Continue)
-    tables = _Tables(g, tuple(sorted(pre.cover)))
+    tables = _Tables(g, _min_cover(g, pre.cover))
     cache = _CandidateCache()
     for tau in _enum_tau_masks(tables, k, cache):
         stats.palettes += 1
@@ -518,6 +521,52 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
         if colors is not None:
             return SolveResult(True, _checked(g, EdgeColoring(colors), k), stats)
     return SolveResult(False, None, stats)
+
+
+def _min_cover(g: Graph, cover: tuple[int, ...]) -> tuple[int, ...]:
+    """A minimum vertex cover of g, ascending, no larger than ``cover``.
+
+    Depth-first over bitmasks, with ``cover`` (any vertex cover) as the
+    first incumbent. A node holds the chosen vertices and the residual
+    ones, those not chosen that may still have an uncovered edge. It
+    branches on the residual vertex of largest residual degree, the
+    smallest id on ties: any cover holds either v or all of its neighbors.
+    Each edge of a greedy matching on the residual edges needs its own
+    vertex, so a node dies once the chosen count plus that matching
+    reaches the incumbent. Only a strictly smaller cover replaces the
+    incumbent, so the answer is the first minimum one in this fixed order.
+    """
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    best = tuple(sorted(cover))
+    stack = [(0, (1 << g.n) - 1)]
+    while stack:
+        chosen, alive = stack.pop()
+        bound = chosen.bit_count()
+        free = alive
+        top = top_deg = 0
+        for u in _bits(alive):
+            nbrs = adj[u] & alive
+            if not nbrs:
+                alive ^= 1 << u
+                continue
+            if nbrs.bit_count() > top_deg:
+                top, top_deg = u, nbrs.bit_count()
+            mates = nbrs & free
+            if free >> u & 1 and mates:
+                free ^= 1 << u | mates & -mates
+                bound += 1
+        if bound >= len(best):
+            continue
+        if not top_deg:
+            best = tuple(_bits(chosen))
+            continue
+        nbrs = adj[top] & alive
+        stack.append((chosen | nbrs, alive & ~nbrs & ~(1 << top)))
+        stack.append((chosen | 1 << top, alive & ~(1 << top)))
+    return best
 
 
 def _try_palette(g: Graph, cov: _Cover, stats: SolveStats):

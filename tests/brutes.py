@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive and shares no code with the package
 internals: a pruning-free enumerator for the maximum color count, an
-orbit-marking enumeration of isomorphism-distinct connected graphs, and a
-restart-from-the-smallest-vertex run of the dual kernel's contractions.
+orbit-marking enumeration of isomorphism-distinct graphs, an all-subsets
+minimum vertex cover, the recursive bipartite matching the package used
+to have, and a restart-from-the-smallest-vertex run of the dual kernel's
+contractions.
 The one exception is ``ref_palette_search``, which feeds the reference palette
 enumeration into the solver's own per-palette search, so that a test can
 compare the pruned enumeration alone against it.
@@ -57,16 +59,14 @@ def dumb_sigma(g: Graph, caps=None) -> int:
     return best
 
 
-def connected_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected graphs on
-    exactly ``n`` vertices, each vertex of positive degree (n = 1 excepted).
+def graphs(n: int) -> list[Graph]:
+    """One representative per isomorphism class of graphs on exactly ``n``
+    vertices, isolated vertices included.
 
     Edge sets are bitmasks over vertex pairs; ascending scan marks every
     permutation image of each fresh mask, so exactly the lexicographically
     smallest member of each orbit is kept.
     """
-    if n == 1:
-        return [Graph(1, [])]
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
     tables = []
@@ -87,13 +87,46 @@ def connected_graphs(n: int) -> list[Graph]:
                 image |= 1 << table[low.bit_length() - 1]
                 rest ^= low
             seen[image] = 1
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = Graph(n, edges)
-        if all(g.degree(v) > 0 for v in range(n)) and len(
-            g.connected_components()
-        ) == 1:
-            out.append(g)
+        out.append(Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]))
     return out
+
+
+def connected_graphs(n: int) -> list[Graph]:
+    """The connected members of ``graphs(n)``, each vertex of positive
+    degree (n = 1 excepted)."""
+    if n == 1:
+        return [Graph(1, [])]
+    return [
+        g for g in graphs(n)
+        if all(g.degree(v) > 0 for v in range(n))
+        and len(g.connected_components()) == 1
+    ]
+
+
+def graphs_upto_seven() -> list[Graph]:
+    """Every graph on 0 through 7 vertices up to isomorphism, some more
+    than once: the 7-vertex ones as each 6-vertex class plus a vertex
+    joined to every subset of it (deleting any vertex of a 7-vertex graph
+    leaves a graph isomorphic to one of those classes)."""
+    out = []
+    for n in range(7):
+        out.extend(graphs(n))
+    for g in graphs(6):
+        for nbrs in range(1 << 6):
+            out.append(Graph(7, list(g.edges) + [
+                (v, 6) for v in range(6) if nbrs >> v & 1
+            ]))
+    return out
+
+
+def brute_min_cover(g: Graph) -> int:
+    """Size of a minimum vertex cover, trying every vertex subset in order
+    of size."""
+    for size in range(g.n + 1):
+        for subset in combinations(range(g.n), size):
+            if all(u in subset or v in subset for u, v in g.edges):
+                return size
+    raise AssertionError("the whole vertex set is a cover")
 
 
 def connected_graphs_upto(n: int) -> list[Graph]:
@@ -301,3 +334,28 @@ def ref_palette_search(g: Graph, cover: tuple[int, ...], k: int):
         if colors is not None:
             return colors, stats
     return None, stats
+
+
+def ref_max_bipartite_matching(bg) -> dict:
+    """The recursive augmenting-path matching that ``max_bipartite_matching``
+    replaced: left vertices in their given order, adjacency in edge order,
+    one recursive call per step of an augmenting path. The explicit-stack
+    version must return the same pairing."""
+    adj: dict = {a: [] for a in bg.left}
+    for a, b in bg.edges:
+        adj[a].append(b)
+    match_right: dict = {}
+
+    def augment(a, seen) -> bool:
+        for b in adj[a]:
+            if b in seen:
+                continue
+            seen.add(b)
+            if b not in match_right or augment(match_right[b], seen):
+                match_right[b] = a
+                return True
+        return False
+
+    for a in bg.left:
+        augment(a, set())
+    return {a: b for b, a in match_right.items()}

@@ -1,12 +1,13 @@
 """Matching-based preprocessing and bipartite matching."""
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brutes import dumb_sigma
+from brutes import dumb_sigma, ref_max_bipartite_matching
 from maxec import (
     BipartiteGraph,
     Continue,
@@ -154,3 +155,29 @@ def test_bipartite_matching_is_maximum(bg):
         return top
 
     assert len(pairing) == best(0, frozenset())
+
+
+def test_bipartite_matching_follows_a_long_augmenting_chain():
+    # left 0 sees right 0 and left i sees right i-1, then right i: left i
+    # first walks the alternating path down to left 0 before it takes
+    # right i, a path of length about 2i
+    n = 3000
+    edges = [(0, 0)] + [(i, j) for i in range(1, n) for j in (i - 1, i)]
+    bg = BipartiteGraph(left=tuple(range(n)), right=tuple(range(n)),
+                        edges=tuple(edges))
+    pairing = max_bipartite_matching(bg)
+    assert len(pairing) == n
+    assert len(set(pairing.values())) == n
+
+
+def test_bipartite_matching_pairs_like_the_recursive_search():
+    rng = random.Random(12)
+    for _ in range(400):
+        nl, nr = rng.randint(1, 7), rng.randint(1, 7)
+        pairs = [(a, b) for a in range(nl) for b in range(nr)]
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        left = rng.sample(range(nl), nl)
+        bg = BipartiteGraph(left=tuple(left), right=tuple(range(nr)),
+                            edges=tuple(edges))
+        got = max_bipartite_matching(bg)
+        assert list(got.items()) == list(ref_max_bipartite_matching(bg).items())

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brutes import (
+    brute_min_cover,
     connected_graphs_upto,
+    graphs_upto_seven,
     ref_coverable,
     ref_cover_fields,
     ref_enum_tau_masks,
     ref_palette_search,
 )
 from maxec import (
+    EdgeColoring,
     Graph,
     SolveStats,
     sigma_exact,
@@ -29,6 +32,7 @@ from maxec.solver import (
     _CandidateCache,
     _Cover,
     _enum_tau_masks,
+    _min_cover,
     _Tables,
     _top_leaves,
     _try_palette,
@@ -297,6 +301,9 @@ class TestBranchDiscipline:
 
     def test_cover_branching_exercised(self):
         # sparse 7-vertex instances whose cover stage needs real branching
+        # over the matched cover; over solve_exact's minimum cover no
+        # instance tried has branched, so the per-palette search is driven
+        # on the matched cover here
         cases = [
             Graph(7, [(0, 2), (0, 3), (0, 4), (1, 5), (2, 3), (2, 4), (3, 6)]),
             Graph(7, [(0, 2), (0, 4), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4)]),
@@ -304,12 +311,46 @@ class TestBranchDiscipline:
         seen = 0
         for g in cases:
             res = _assert_agrees(g, 5)
-            seen += res.stats.top_branch_events
+            colors, stats = ref_palette_search(g, _matching_cover(g), 5)
+            assert (colors is not None) == res.yes
+            if colors is not None:
+                check = verify_coloring(g, EdgeColoring(colors))
+                assert check.valid and check.colors_used == 5
+            seen += stats.top_branch_events
         assert seen > 0
 
 
 def _matching_cover(g):
     return tuple(sorted(maximal_matching(g).saturated))
+
+
+def _is_cover(g, cover):
+    inside = set(cover)
+    return all(u in inside or v in inside for u, v in g.edges)
+
+
+class TestMinCover:
+    def test_minimum_on_every_small_graph(self):
+        for g in graphs_upto_seven():
+            got = _min_cover(g, _matching_cover(g))
+            assert list(got) == sorted(set(got)), f"edges={g.edges}"
+            assert _is_cover(g, got), f"edges={g.edges}"
+            assert len(got) == brute_min_cover(g), f"edges={g.edges}"
+
+    def test_never_larger_than_the_matched_cover(self):
+        checked = 0
+        for (n, p), seed in itertools.product(
+                ((50, 0.06), (60, 0.05), (80, 0.04)), range(4)):
+            g = gen_random(n, p, seed)
+            matched = _matching_cover(g)
+            if not 40 <= len(matched) <= 66:
+                continue
+            got = _min_cover(g, matched)
+            assert list(got) == sorted(set(got))
+            assert _is_cover(g, got)
+            assert len(got) <= len(matched)
+            checked += 1
+        assert checked >= 8
 
 
 class TestMemoizedSearch:
@@ -385,7 +426,7 @@ def _differential_check(g):
         if not isinstance(pre, Continue):
             continue
         res = solve_exact(g, k)
-        colors, ref = ref_palette_search(g, tuple(sorted(pre.cover)), k)
+        colors, ref = ref_palette_search(g, _min_cover(g, pre.cover), k)
         where = f"n={g.n} edges={g.edges} k={k}"
         assert res.yes == (colors is not None), where
         assert (None if res.witness is None else list(res.witness)) == colors, where
@@ -422,21 +463,22 @@ class TestPrunedSearch:
         assert searched > 0
 
 
-# seeded draws whose greedy matching has size 3 (a 6-vertex cover), with
-# SolveStats fields and witness colors. The three branch fields and the
-# witnesses come from the loop-based search over every palette; they do not
-# depend on the palettes that cannot show all k colors, which palettes and
-# x_guesses (the first two fields) no longer count
+# seeded draws whose greedy matching has size 3 (a 6-vertex matched cover;
+# the search runs on a minimum cover of 3 to 6 vertices), with SolveStats
+# fields and witness colors. The three branch fields and the witnesses come
+# from the loop-based search over every palette on that minimum cover; they
+# do not depend on the palettes that cannot show all k colors, which
+# palettes and x_guesses (the first two fields) no longer count
 PINNED = [
-    ((9, 0.2, 1), 5, (6, 19, 6, 5, 3), [0, 0, 1, 0, 0, 2, 3, 4]),
-    ((9, 0.2, 1), 6, (9, 30, 10, 10, 3), None),
-    ((9, 0.2, 28), 5, (1, 4, 0, 1, 3),
+    ((9, 0.2, 1), 5, (4, 5, 0, 11, 3), [1, 0, 0, 0, 0, 2, 3, 4]),
+    ((9, 0.2, 1), 6, (1, 1, 0, 3, 3), None),
+    ((9, 0.2, 28), 5, (1, 1, 0, 2, 3),
      [0, 1, 0, 0, 0, 0, 0, 2, 0, 3, 0, 4]),
-    ((9, 0.25, 10), 5, (18, 68, 20, 15, 2), [0, 1, 0, 2, 3, 4, 0, 0]),
-    ((10, 0.2, 6), 5, (53, 204, 68, 51, 3), None),
-    ((10, 0.25, 36), 6, (3, 7, 2, 3, 2), [0, 1, 2, 3, 4, 0, 5, 0]),
-    ((10, 0.25, 36), 7, (2, 6, 2, 2, 2), None),
-    ((11, 0.25, 3), 7, (1, 1, 0, 3, 3),
+    ((9, 0.25, 10), 5, (6, 6, 0, 17, 2), [0, 1, 0, 2, 3, 4, 0, 0]),
+    ((10, 0.2, 6), 5, (1, 1, 0, 1, 2), None),
+    ((10, 0.25, 36), 6, (2, 2, 0, 15, 4), [0, 1, 2, 3, 4, 0, 5, 0]),
+    ((10, 0.25, 36), 7, (1, 1, 0, 13, 4), None),
+    ((11, 0.25, 3), 7, (1, 1, 0, 5, 3),
      [0, 1, 0, 0, 2, 3, 4, 5, 5, 6]),
     ((11, 0.3, 1), 7, (1, 1, 0, 1, 2), None),
 ]
