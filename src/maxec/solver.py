@@ -5,13 +5,15 @@ over a minimum vertex cover S, found by ``_min_cover`` with the 2r matched
 endpoints as its first incumbent, so |S| <= 2r <= 2k - 4. No step needs S
 to come from a matching: palettes sit on cover vertices, and every other
 vertex has all its neighbors in S. The search guesses a palette
-assignment tau giving each cover vertex its final color set (size 1 or 2),
-then a subset X of colors to be used on the edges inside the cover. Cover
-edges are colored by forced propagation plus two-way branching in which
-every branch consumes a color from X; colors outside X must then appear on
-the edges crossing the cut, which is decided through per-vertex candidate
-lists, forcing, bounded branching, and a final bipartite matching between
-leftover colors and flexible cut vertices.
+assignment tau giving each cover vertex its final color set (size 1 or 2).
+For a fixed tau, a witness is one allowed color per cover edge (a color of
+both end palettes) and one candidate color set per cut vertex that
+together show all k colors. ``_across`` finds one or proves there is none:
+colors every choice shows come off first, flexible cut vertices are
+settled by forcing and bounded branching, and a final bipartite matching
+between the leftover colors and the other providers (cover edges and
+shared-color cut vertices) decides the rest. The colors the cover edges
+use come out of that matching, so they are never guessed.
 
 Color sets are bitmasks throughout, bit c standing for color c.
 
@@ -27,18 +29,24 @@ solve creates and drops.
 
 Key facts the implementation leans on (each argued where used):
 
-* tau pins every vertex palette, so two legal colors for a cover edge are
-  exchangeable unless consuming X distinguishes them; forcing rules follow;
-* a crossing vertex whose candidate sets share a color always shows that
-  color, letting a matching finish the search; candidate families without
-  a shared color have at most 4 members, so branching stays narrow;
+* a cover edge shows exactly one color, and a cut vertex whose candidate
+  sets share a color shows at most one color besides that one, so once no
+  flexible cut vertex can meet the leftover colors, they all show iff a
+  matching saturates them; an unmatched cover edge may take any allowed
+  color;
+* every color outside the leftover is already shown, so a candidate whose
+  part of the leftover lies inside another candidate's never does better;
+  forcing and branching keep only the candidates whose part is maximal,
+  the smallest mask for each part;
+* candidate families without a shared color have at most 4 members, so
+  branching stays narrow;
 * candidate sets are kept only when they can be realized exactly (every
   listed color actually appears at the vertex), which is what makes the
   matching stage's accounting sound;
 * a color can only appear on a cover edge whose two palettes hold it or
   in a candidate set of a cut vertex, so a palette whose cover edges and
-  candidates miss a color has no witness for any X; the enumeration skips
-  such palettes, and every prefix that can only lead to them;
+  candidates miss a color has no witness; the enumeration skips such
+  palettes, and every prefix that can only lead to them;
 * every enumerated palette gives every cut vertex a candidate: a prefix is
   dropped as soon as a cut vertex whose neighbors all lie in it has none,
   and every cut vertex is ready by the last position.
@@ -57,7 +65,16 @@ ACROSS_BRANCH_LIMIT = 10
 
 @dataclass
 class SolveStats:
-    """Search counters, mainly to audit the branching discipline."""
+    """Search counters, mainly to audit the branching discipline.
+
+    ``palettes``: palette assignments searched. ``x_guesses``: final
+    matchings run, one per leaf of the per-palette search; each fixes the
+    colors of the cover edges in one step. ``top_branch_events``: always 0,
+    since the cover edges join the matching instead of branching; the field
+    stays so that records keep their shape. ``across_branch_events``:
+    branches over flexible cut vertices. ``across_branch_max_width``: the
+    widest of those, at most ``ACROSS_BRANCH_LIMIT``.
+    """
 
     palettes: int = 0
     x_guesses: int = 0
@@ -185,9 +202,9 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
 
     Only palettes that can show every color are yielded: each of the k
     colors must be allowed on a cover edge (both palettes hold it) or lie
-    in a candidate set of a cut vertex. Any other palette fails every X in
-    ``_across`` before a branch is counted, so dropping it changes no
-    verdict, witness or branch counter. A prefix is dropped early by a
+    in a candidate set of a cut vertex. Any other palette fails ``_across``
+    before a branch is counted, so dropping it changes no verdict, witness
+    or branch counter. A prefix is dropped early by a
     bound. ``covered`` holds the colors already shown by the placed
     positions: on cover edges between them and in the candidates of cut
     vertices that are ready. A color outside ``covered`` can still be shown
@@ -290,11 +307,13 @@ class _Cover:
     candidate lists of every cut vertex, on top of the per-solve
     ``_Tables``; ``tau`` holds the palette masks parallel to
     ``tables.order``, as yielded by ``_enum_tau_masks``, so every cut
-    vertex has a candidate."""
+    vertex has a candidate. ``shown`` holds the colors every choice shows,
+    ``coverage`` every color a cover edge or an unforced cut vertex could
+    show."""
 
     __slots__ = (
-        "full", "tables", "tau", "allowed_full", "union_allowed", "lists",
-        "gee", "bee", "shown", "coverage",
+        "full", "tables", "tau", "allowed_full", "lists", "gee", "bee",
+        "shown", "coverage",
     )
 
     def __init__(self, tables: _Tables, tau: tuple[int, ...], k: int,
@@ -303,14 +322,13 @@ class _Cover:
         self.tables = tables
         self.tau = tau
         self.allowed_full = [tau[i] & tau[j] for i, j in tables.s_pos]
-        self.union_allowed = 0
+        self.coverage = 0
         for a in self.allowed_full:
-            self.union_allowed |= a
+            self.coverage |= a
         self.lists = {}
         self.gee = []
         self.bee = []
         self.shown = 0
-        self.coverage = 0
         for u, nbrs in zip(tables.cut_vertices, tables.cut_nbrs):
             cands = cache[tuple([tau[i] for i in nbrs])]
             self.lists[u] = cands
@@ -329,69 +347,38 @@ class _Cover:
                 self.coverage |= y
 
 
-def _top_leaves(cov: _Cover, x_mask: int, stats: SolveStats):
-    """All ways to color the cover edges consuming exactly the budget X.
+def _best_hits(cands: tuple[int, ...], r: int) -> list[int]:
+    """The candidates meeting r whose part of r no other candidate's part
+    strictly contains, the smallest mask for each part, in ascending order.
+    Every color outside r is already shown, so the others never do better."""
+    hits = [y for y in cands if y & r]
+    if len(hits) < 2:
+        return hits
+    best = {}
+    for y in hits:
+        best.setdefault(y & r, y)
+    return [
+        y for part, y in best.items()
+        if not any(p != part and p & part == part for p in best)
+    ]
 
-    Precondition: X meets the allowed set of every cover edge, as
-    ``_try_palette`` guarantees. Yields assignments, lists of colors
-    parallel to cov.tables.s_edges. Forced moves: a single allowed color; a
-    pair with one fresh and one spent color takes the fresh one (any
-    completion spending the fresh color later can shift it here); a pair of
-    spent colors takes the smaller (exchangeable). Only fresh-fresh pairs
-    branch, so every branch shrinks X.
+
+def _across(cov: _Cover, stats: SolveStats):
+    """Decide one palette: an allowed color per cover edge and a candidate
+    per cut vertex that together show all k colors.
+
+    Returns (colors parallel to ``tables.s_edges``, {vertex: candidate
+    mask} for the cut vertices that need a specific candidate), or None.
+    The leftover r starts as the colors not shown by forced or shared-color
+    vertices. Flexible vertices with a single best candidate meeting r
+    (``_best_hits``) are forced; with several, the search branches over
+    them (each branch shrinks r). Once no flexible vertex can meet r, each
+    other provider shows at most one color of r: a cover edge exactly one
+    of its allowed colors, a shared-color vertex at most one besides its
+    shared one. So one bipartite matching that saturates r decides the
+    rest, and a cover edge left unmatched takes its lowest allowed color.
     """
-    allowed = [a & x_mask for a in cov.allowed_full]
-
-    def rec(assigned, xrem: int):
-        assigned = assigned[:]
-        while True:
-            changed = False
-            for i, opts in enumerate(allowed):
-                if assigned[i] is not None:
-                    continue
-                fresh = opts & xrem
-                if opts & (opts - 1) == 0:
-                    c = _low_bit(opts)
-                elif fresh == 0:
-                    c = _low_bit(opts)
-                elif fresh & (fresh - 1) == 0:
-                    c = _low_bit(fresh)
-                else:
-                    continue
-                assigned[i] = c
-                xrem &= ~(1 << c)
-                changed = True
-            if not changed:
-                break
-        try:
-            branch_at = assigned.index(None)
-        except ValueError:
-            if xrem == 0:
-                yield assigned
-            return
-        stats.top_branch_events += 1
-        for c in _bits(allowed[branch_at]):
-            nxt = assigned[:]
-            nxt[branch_at] = c
-            yield from rec(nxt, xrem & ~(1 << c))
-
-    yield from rec([None] * len(allowed), x_mask)
-
-
-def _across(cov: _Cover, r0: int, stats: SolveStats):
-    """Commit cut vertices so every color in r0 shows on a cut edge.
-
-    Returns {vertex: candidate mask} for the vertices that need a specific
-    candidate, or None. Colors already shown by forced or shared-color
-    vertices come off first. Flexible vertices with a unique candidate
-    meeting the leftover are forced; with several, the search branches over
-    them (each branch shrinks the leftover). Once no flexible vertex can
-    meet the leftover, only shared-color vertices can help, and each can
-    show at most one leftover color, so a bipartite matching that saturates
-    the leftover colors decides the rest.
-    """
-    need = r0 & ~cov.shown
-    if need & ~cov.coverage:
+    if cov.full & ~cov.shown & ~cov.coverage:
         return None
 
     def rec(r: int, commits: dict[int, int]):
@@ -401,19 +388,17 @@ def _across(cov: _Cover, r0: int, stats: SolveStats):
             for u in cov.bee:
                 if u in commits:
                     continue
-                hits = [y for y in cov.lists[u] if y & r]
+                hits = _best_hits(cov.lists[u], r)
                 if len(hits) == 1:
                     commits[u] = hits[0]
                     r &= ~hits[0]
                     changed = True
             if not changed:
                 break
-        if r == 0:
-            return commits
         for u in cov.bee:
             if u in commits:
                 continue
-            hits = [y for y in cov.lists[u] if y & r]
+            hits = _best_hits(cov.lists[u], r)
             if len(hits) >= 2:
                 if len(hits) > ACROSS_BRANCH_LIMIT:
                     raise AssertionError(
@@ -429,24 +414,34 @@ def _across(cov: _Cover, r0: int, stats: SolveStats):
                     if res is not None:
                         return res
                 return None
-        colors = tuple(_bits(r))
-        rows = tuple(u for u in cov.gee if u not in commits)
+        stats.x_guesses += 1
+        colors = [_low_bit(a) for a in cov.allowed_full]
+        if not r:
+            return colors, commits
+        # cover edge i is provider ~i, a shared-color vertex is itself
+        offers = [(~i, a) for i, a in enumerate(cov.allowed_full)]
+        for u in cov.gee:
+            offer = 0
+            for y in cov.lists[u]:
+                offer |= y
+            offers.append((u, offer))
+        left = tuple(_bits(r))
         edges = tuple(
-            (c, u)
-            for c in colors
-            for u in rows
-            if any(y >> c & 1 for y in cov.lists[u])
+            (c, who) for c in left for who, offer in offers if offer >> c & 1
         )
-        pairing = max_bipartite_matching(
-            BipartiteGraph(left=colors, right=rows, edges=edges)
-        )
-        if len(pairing) < len(colors):
+        pairing = max_bipartite_matching(BipartiteGraph(
+            left=left, right=tuple(who for who, _ in offers), edges=edges,
+        ))
+        if len(pairing) < len(left):
             return None
-        for c, u in pairing.items():
-            commits[u] = next(y for y in cov.lists[u] if y >> c & 1)
-        return commits
+        for c, who in pairing.items():
+            if who < 0:
+                colors[~who] = c
+            else:
+                commits[who] = next(y for y in cov.lists[who] if y >> c & 1)
+        return colors, commits
 
-    return rec(need, {})
+    return rec(cov.full & ~cov.shown, {})
 
 
 def _assemble(g: Graph, cov: _Cover, assigned, commits: dict[int, int]):
@@ -517,9 +512,11 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
     cache = _CandidateCache()
     for tau in _enum_tau_masks(tables, k, cache):
         stats.palettes += 1
-        colors = _try_palette(g, _Cover(tables, tau, k, cache), stats)
-        if colors is not None:
-            return SolveResult(True, _checked(g, EdgeColoring(colors), k), stats)
+        cov = _Cover(tables, tau, k, cache)
+        found = _across(cov, stats)
+        if found is not None:
+            witness = EdgeColoring(_assemble(g, cov, *found))
+            return SolveResult(True, _checked(g, witness, k), stats)
     return SolveResult(False, None, stats)
 
 
@@ -567,29 +564,6 @@ def _min_cover(g: Graph, cover: tuple[int, ...]) -> tuple[int, ...]:
         stack.append((chosen | nbrs, alive & ~nbrs & ~(1 << top)))
         stack.append((chosen | 1 << top, alive & ~(1 << top)))
     return best
-
-
-def _try_palette(g: Graph, cov: _Cover, stats: SolveStats):
-    """All X guesses for one palette assignment; first witness wins.
-
-    X runs over the submasks of ``union_allowed`` in increasing order, and
-    only those meeting every cover edge's allowed set are tried."""
-    union = cov.union_allowed
-    x_mask = 0
-    while True:
-        for a in cov.allowed_full:
-            if not a & x_mask:
-                break
-        else:
-            stats.x_guesses += 1
-            commits = _across(cov, cov.full & ~x_mask, stats)
-            if commits is not None:
-                assigned = next(_top_leaves(cov, x_mask, stats), None)
-                if assigned is not None:
-                    return _assemble(g, cov, assigned, commits)
-        x_mask = (x_mask - union) & union
-        if not x_mask:
-            return None
 
 
 def _checked(g: Graph, witness: EdgeColoring, k: int) -> EdgeColoring:

@@ -8,7 +8,8 @@ to have, and a restart-from-the-smallest-vertex run of the dual kernel's
 contractions.
 The one exception is ``ref_palette_search``, which feeds the reference palette
 enumeration into the solver's own per-palette search, so that a test can
-compare the pruned enumeration alone against it.
+compare the pruned enumeration alone against it; ``ref_palette_feasible``
+checks that per-palette search on its own.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from maxec import Graph, SolveStats
-from maxec.solver import _CandidateCache, _Cover, _Tables, _try_palette
+from maxec.solver import _across, _assemble, _CandidateCache, _Cover, _Tables
 
 
 def dumb_sigma(g: Graph, caps=None) -> int:
@@ -275,18 +276,19 @@ def ref_cover_fields(g: Graph, cover, tau: dict[int, int], k: int) -> dict:
     """The solver's per-palette cover tables rebuilt from the graph alone:
     allowed colors per cover edge and candidate lists per cut vertex. At
     the first cut vertex without candidates the rebuild stops and sets
-    ``dead``; the solver never builds tables for such a palette."""
+    ``dead``; the solver never builds tables for such a palette.
+    ``coverage`` holds every color a cover edge allows or a cut vertex with
+    several candidates lists."""
     in_cover = set(cover)
     allowed_full = [
         tau[u] & tau[v] for u, v in g.edges if u in in_cover and v in in_cover
     ]
-    union_allowed = 0
+    coverage = 0
     for a in allowed_full:
-        union_allowed |= a
+        coverage |= a
     out = {
-        "allowed_full": allowed_full, "union_allowed": union_allowed,
-        "lists": {}, "gee": [], "bee": [], "shown": 0, "coverage": 0,
-        "dead": False,
+        "allowed_full": allowed_full, "lists": {}, "gee": [], "bee": [],
+        "shown": 0, "coverage": coverage, "dead": False,
     }
     for u in range(g.n):
         if u in in_cover or g.degree(u) == 0:
@@ -317,22 +319,42 @@ def ref_coverable(g: Graph, cover, tau: dict[int, int], k: int) -> bool:
     cut vertex having a candidate. A palette failing this never yields a
     witness, whatever the colors used inside the cover."""
     fields = ref_cover_fields(g, cover, tau, k)
-    shown = fields["union_allowed"] | fields["shown"] | fields["coverage"]
+    shown = fields["shown"] | fields["coverage"]
     return not fields["dead"] and shown == (1 << k) - 1
+
+
+def ref_palette_feasible(g: Graph, cover, tau: dict[int, int], k: int) -> bool:
+    """Whether one palette assignment has a witness, by a set-union DP:
+    every union of one allowed color per cover edge (a color of both end
+    palettes) and one ``ref_candidates`` set per cut vertex is collected,
+    and the palette is feasible when one of them holds all k colors."""
+    in_cover = set(cover)
+    choices = [
+        [1 << c for c in range(k) if (tau[u] & tau[v]) >> c & 1]
+        for u, v in g.edges if u in in_cover and v in in_cover
+    ]
+    for u in range(g.n):
+        if u not in in_cover and g.degree(u) > 0:
+            choices.append(ref_candidates([tau[w] for _, w in g.adj[u]]))
+    unions = {0}
+    for options in choices:
+        unions = {s | y for s in unions for y in options}
+    return (1 << k) - 1 in unions
 
 
 def ref_palette_search(g: Graph, cover: tuple[int, ...], k: int):
     """The palette search with the unpruned reference enumeration: every
-    palette of ``ref_enum_tau_masks`` goes through ``_Cover`` and
-    ``_try_palette`` in turn. Returns (per-edge colors or None, stats)."""
+    palette of ``ref_enum_tau_masks`` goes through ``_Cover``, ``_across``
+    and ``_assemble`` in turn. Returns (per-edge colors or None, stats)."""
     stats = SolveStats()
     tables = _Tables(g, cover)
     cache = _CandidateCache()
     for tau in ref_enum_tau_masks(g, cover, k):
         stats.palettes += 1
-        colors = _try_palette(g, _Cover(tables, tau, k, cache), stats)
-        if colors is not None:
-            return colors, stats
+        cov = _Cover(tables, tau, k, cache)
+        found = _across(cov, stats)
+        if found is not None:
+            return _assemble(g, cov, *found), stats
     return None, stats
 
 

@@ -13,6 +13,7 @@ from brutes import (
     ref_coverable,
     ref_cover_fields,
     ref_enum_tau_masks,
+    ref_palette_feasible,
     ref_palette_search,
 )
 from maxec import (
@@ -34,8 +35,6 @@ from maxec.solver import (
     _enum_tau_masks,
     _min_cover,
     _Tables,
-    _top_leaves,
-    _try_palette,
 )
 
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
@@ -214,66 +213,108 @@ class TestPaletteEnumeration:
 
 
 class TestCheckTop:
-    def test_forced_single_color(self):
-        g = Graph(2, [(0, 1)])
-        cov = _cover(g, {0: {0}, 1: {0, 1}}, 2)
-        assert list(_top_leaves(cov, 0b01, SolveStats())) == [[0]]
+    """Cover edges in ``_across``: each shows exactly one allowed color, and
+    the final matching chooses it."""
 
-    def test_budget_must_be_consumed(self):
+    def test_forced_single_color(self):
+        # the cover edge allows only color 0; the pendant cut vertex 2 must
+        # then show color 1
+        g = Graph(3, [(0, 1), (1, 2)])
+        cov = _cover(g, {0: {0}, 1: {0, 1}}, 2)
+        assert _across(cov, SolveStats()) == ([0], {2: 0b10})
+
+    def test_one_edge_shows_one_color(self):
         g = Graph(2, [(0, 1)])
         cov = _cover(g, {0: {0, 1}, 1: {0, 1}}, 2)
-        assert list(_top_leaves(cov, 0b11, SolveStats())) == []
+        assert _across(cov, SolveStats()) is None
 
     def test_unsupported_budget_color_is_never_tried(self):
-        # the edge allows only color 0: X = 0b10 is no submask of the
-        # allowed union and X = 0 misses the edge, so only X = 0b01 counts
+        # the edge allows only color 0, so nothing can show color 1 and the
+        # palette fails before any branch or matching
         g = Graph(2, [(0, 1)])
         cov = _cover(g, {0: {0}, 1: {0}}, 2)
         stats = SolveStats()
-        assert _try_palette(g, cov, stats) is None
-        assert stats.x_guesses == 1
+        assert _across(cov, stats) is None
+        assert stats == SolveStats()
 
-    def test_branch_explores_both_fresh_orders(self):
+    def test_path_shows_both_colors(self):
         # path inside the cover: edges (0,1) and (1,2) share vertex 1
         g = Graph(3, [(0, 1), (1, 2)])
         cov = _cover(g, {0: {0, 1}, 1: {0, 1}, 2: {0, 1}}, 2)
-        leaves = list(_top_leaves(cov, 0b11, SolveStats()))
-        assert {tuple(assigned) for assigned in leaves} == {(0, 1), (1, 0)}
+        colors, commits = _across(cov, SolveStats())
+        assert sorted(colors) == [0, 1] and commits == {}
 
 
-def _across_colors(g, tau, k, remaining):
-    """Per-edge colors showing every color in ``remaining`` on a cut edge,
-    for a cover without inner edges, or None."""
+def _across_colors(g, tau, k, stats=None):
+    """Per-edge colors showing all k colors, for a cover without inner
+    edges, or None."""
     cov = _cover(g, tau, k)
     assert not cov.tables.s_edges
-    commits = _across(cov, _mask(remaining), SolveStats())
-    if commits is None:
+    found = _across(cov, SolveStats() if stats is None else stats)
+    if found is None:
         return None
-    return _assemble(g, cov, [], commits)
+    return _assemble(g, cov, *found)
 
 
 class TestCheckAcross:
     def test_pendant_forced(self):
         g = Graph(2, [(0, 1)])
-        assert _across_colors(g, {1: {2}}, 3, {2}) == [2]
+        assert _across_colors(g, {1: {0}}, 1) == [0]
 
     def test_unreachable_color(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        assert _across_colors(g, {0: {0, 1}, 2: {2, 3}}, 5, {4}) is None
+        assert _across_colors(g, {0: {0, 1}, 2: {2, 3}}, 5) is None
 
     def test_nothing_remaining(self):
+        # the middle vertex has the single candidate {0, 1}, which shows
+        # both colors before any branch
         g = Graph(3, [(0, 1), (1, 2)])
-        colors = _across_colors(g, {0: {0, 1}, 2: {2, 3}}, 4, set())
-        assert colors is not None
-        assert len(colors) == g.m
+        stats = SolveStats()
+        assert _across_colors(g, {0: {0}, 2: {1}}, 2, stats) == [0, 1]
+        assert stats.across_branch_events == 0
 
     def test_matching_assigns_shared_color_vertices(self):
         # two crossing vertices, each must realize one of two leftovers
         g = Graph(6, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 5)])
-        colors = _across_colors(g, {0: {0, 1}, 1: {0, 2}}, 3, {1, 2})
+        colors = _across_colors(g, {0: {0, 1}, 1: {0, 2}}, 3)
         assert colors is not None
-        seen = set(colors)
-        assert {1, 2} <= seen
+        assert set(colors) == {0, 1, 2}
+        # vertices 3 and 4 always show the shared color 0 and may add 1 or
+        # 2 respectively; only the matching can give each its leftover
+        g = Graph(5, [(0, 3), (1, 3), (0, 4), (2, 4)])
+        stats = SolveStats()
+        colors = _across_colors(g, {0: {0}, 1: {0, 1}, 2: {0, 2}}, 3, stats)
+        assert colors == [0, 1, 0, 2]
+        assert (stats.across_branch_events, stats.x_guesses) == (0, 1)
+
+
+class TestPaletteSearch:
+    """``_across`` decides each palette on its own: it must agree with a
+    set-union brute force on every palette of the reference enumeration,
+    and every witness it assembles must verify."""
+
+    def test_agrees_with_set_union_reference(self):
+        checked = 0
+        for g in connected_graphs_upto(6):
+            matched = _matching_cover(g)
+            for cover in dict.fromkeys((matched, _min_cover(g, matched))):
+                tables = _Tables(g, cover)
+                for k in range(2, g.n + 1):
+                    cache = _CandidateCache()
+                    for tau in ref_enum_tau_masks(g, cover, k):
+                        cov = _Cover(tables, tau, k, cache)
+                        found = _across(cov, SolveStats())
+                        want = ref_palette_feasible(
+                            g, cover, dict(zip(cover, tau)), k)
+                        where = f"edges={g.edges} cover={cover} k={k} tau={tau}"
+                        assert (found is not None) == want, where
+                        if found is not None:
+                            colors = _assemble(g, cov, *found)
+                            check = verify_coloring(g, EdgeColoring(colors))
+                            assert check.valid, where
+                            assert check.colors_used == k, where
+                        checked += 1
+        assert checked > 10000
 
 
 class TestBranchDiscipline:
@@ -299,25 +340,21 @@ class TestBranchDiscipline:
                 seen_across += res.stats.across_branch_events
         assert seen_across > 0
 
-    def test_cover_branching_exercised(self):
-        # sparse 7-vertex instances whose cover stage needs real branching
-        # over the matched cover; over solve_exact's minimum cover no
-        # instance tried has branched, so the per-palette search is driven
-        # on the matched cover here
+    def test_matched_cover_search_agrees(self):
+        # sparse 7-vertex instances with many edges inside the matched
+        # cover, searched over that cover instead of solve_exact's minimum
+        # one: the verdict must not depend on the cover
         cases = [
             Graph(7, [(0, 2), (0, 3), (0, 4), (1, 5), (2, 3), (2, 4), (3, 6)]),
             Graph(7, [(0, 2), (0, 4), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4)]),
         ]
-        seen = 0
         for g in cases:
             res = _assert_agrees(g, 5)
-            colors, stats = ref_palette_search(g, _matching_cover(g), 5)
+            colors, _ = ref_palette_search(g, _matching_cover(g), 5)
             assert (colors is not None) == res.yes
             if colors is not None:
                 check = verify_coloring(g, EdgeColoring(colors))
                 assert check.valid and check.colors_used == 5
-            seen += stats.top_branch_events
-        assert seen > 0
 
 
 def _matching_cover(g):
@@ -379,8 +416,7 @@ class TestMemoizedSearch:
         assert checked > 1000
 
     def test_cover_tables_match_rebuild(self):
-        fields = ("lists", "gee", "bee", "shown", "coverage", "allowed_full",
-                  "union_allowed")
+        fields = ("lists", "gee", "bee", "shown", "coverage", "allowed_full")
         sampled = 0
         for g in connected_graphs_upto(6):
             cover = _matching_cover(g)
@@ -470,17 +506,17 @@ class TestPrunedSearch:
 # do not depend on the palettes that cannot show all k colors, which
 # palettes and x_guesses (the first two fields) no longer count
 PINNED = [
-    ((9, 0.2, 1), 5, (4, 5, 0, 11, 3), [1, 0, 0, 0, 0, 2, 3, 4]),
-    ((9, 0.2, 1), 6, (1, 1, 0, 3, 3), None),
-    ((9, 0.2, 28), 5, (1, 1, 0, 2, 3),
-     [0, 1, 0, 0, 0, 0, 0, 2, 0, 3, 0, 4]),
-    ((9, 0.25, 10), 5, (6, 6, 0, 17, 2), [0, 1, 0, 2, 3, 4, 0, 0]),
-    ((10, 0.2, 6), 5, (1, 1, 0, 1, 2), None),
-    ((10, 0.25, 36), 6, (2, 2, 0, 15, 4), [0, 1, 2, 3, 4, 0, 5, 0]),
-    ((10, 0.25, 36), 7, (1, 1, 0, 13, 4), None),
-    ((11, 0.25, 3), 7, (1, 1, 0, 5, 3),
-     [0, 1, 0, 0, 2, 3, 4, 5, 5, 6]),
-    ((11, 0.3, 1), 7, (1, 1, 0, 1, 2), None),
+    ((9, 0.2, 1), 5, (4, 9, 0, 6, 2), [0, 0, 1, 0, 0, 2, 3, 4]),
+    ((9, 0.2, 1), 6, (1, 4, 0, 3, 2), None),
+    ((9, 0.2, 28), 5, (1, 1, 0, 0, 0),
+     [0, 1, 0, 0, 0, 0, 0, 2, 4, 3, 0, 0]),
+    ((9, 0.25, 10), 5, (6, 13, 0, 8, 2), [0, 1, 0, 2, 3, 0, 4, 0]),
+    ((10, 0.2, 6), 5, (1, 4, 0, 3, 2), None),
+    ((10, 0.25, 36), 6, (2, 5, 0, 4, 4), [0, 1, 2, 3, 4, 0, 5, 0]),
+    ((10, 0.25, 36), 7, (1, 8, 0, 5, 4), None),
+    ((11, 0.25, 3), 7, (1, 1, 0, 3, 2),
+     [0, 0, 1, 0, 2, 3, 4, 5, 6, 5]),
+    ((11, 0.3, 1), 7, (1, 1, 0, 0, 0), None),
 ]
 
 
