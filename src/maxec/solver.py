@@ -45,8 +45,8 @@ Key facts the implementation leans on (each argued where used):
   matching stage's accounting sound;
 * a color can only appear on a cover edge whose two palettes hold it or
   in a candidate set of a cut vertex, so a palette whose cover edges and
-  candidates miss a color has no witness; the enumeration skips such
-  palettes, and every prefix that can only lead to them;
+  candidates miss a color has no witness; ``_across`` rejects it before
+  any branch or matching;
 * every enumerated palette gives every cut vertex a candidate: a prefix is
   dropped as soon as a cut vertex whose neighbors all lie in it has none,
   and every cut vertex is ready by the last position.
@@ -67,11 +67,13 @@ ACROSS_BRANCH_LIMIT = 10
 class SolveStats:
     """Search counters, mainly to audit the branching discipline.
 
-    ``palettes``: palette assignments searched. ``x_guesses``: final
-    matchings run, one per leaf of the per-palette search; each fixes the
-    colors of the cover edges in one step. ``top_branch_events``: always 0,
-    since the cover edges join the matching instead of branching; the field
-    stays so that records keep their shape. ``across_branch_events``:
+    ``palettes``: palette assignments enumerated, including those
+    ``_across`` rejects before any branch because no cover edge or cut
+    vertex can show some color. ``x_guesses``: final matchings run, one per
+    leaf of the per-palette search; each fixes the colors of the cover
+    edges in one step. ``top_branch_events``: always 0, since the cover
+    edges join the matching instead of branching; the field stays so that
+    records keep their shape. ``across_branch_events``:
     branches over flexible cut vertices. ``across_branch_max_width``: the
     widest of those, at most ``ACROSS_BRANCH_LIMIT``.
     """
@@ -145,14 +147,12 @@ class _Tables:
     Cover vertices are named by their position in ``order``: ``s_edges``
     holds the ids of the cover edges and ``s_pos`` their end positions,
     ``cut_nbrs`` the neighbor positions of each vertex in ``cut_vertices``,
-    ``earlier[p]`` the neighbors of position p that come before it,
-    ``ready_at[p]`` the ``cut_nbrs`` entries whose last neighbor is at p,
-    and ``open_at[p]`` the positions up to p that still neighbor a cut
-    vertex whose last neighbor comes after p."""
+    ``earlier[p]`` the neighbors of position p that come before it, and
+    ``ready_at[p]`` the ``cut_nbrs`` entries whose last neighbor is at p."""
 
     __slots__ = (
         "order", "s_edges", "s_pos", "cut_vertices", "cut_nbrs", "earlier",
-        "ready_at", "open_at",
+        "ready_at",
     )
 
     def __init__(self, g: Graph, order: tuple[int, ...]):
@@ -175,16 +175,8 @@ class _Tables:
             tuple(index[w] for _, w in g.adj[u]) for u in self.cut_vertices
         ]
         self.ready_at = [[] for _ in order]
-        open_until = [-1] * len(order)
         for nbrs in self.cut_nbrs:
-            last = max(nbrs)
-            self.ready_at[last].append(nbrs)
-            for i in nbrs:
-                open_until[i] = max(open_until[i], last)
-        self.open_at = [
-            tuple(i for i in range(p + 1) if open_until[i] > p)
-            for p in range(len(order))
-        ]
+            self.ready_at[max(nbrs)].append(nbrs)
 
 
 def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
@@ -196,31 +188,20 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
     two colors are introduced together the first later set containing
     exactly one of them must contain the smaller. Assignments are filtered
     to those whose sets jointly cover all k colors and intersect on every
-    cover edge, and a prefix is dropped as soon as some cut vertex whose
-    neighbors all lie in it has no candidate color set. The choices at a
-    node depend only on (t, pending), so they are built once per key.
+    cover edge. A prefix is dropped as soon as some cut vertex whose
+    neighbors all lie in it has no candidate color set, or once the later
+    positions, each introducing at most two colors, can no longer bring in
+    all k. The choices at a node depend only on (t, pending), so they are
+    built once per key.
 
-    Only palettes that can show every color are yielded: each of the k
-    colors must be allowed on a cover edge (both palettes hold it) or lie
-    in a candidate set of a cut vertex. Any other palette fails ``_across``
-    before a branch is counted, so dropping it changes no verdict, witness
-    or branch counter. A prefix is dropped early by a
-    bound. ``covered`` holds the colors already shown by the placed
-    positions: on cover edges between them and in the candidates of cut
-    vertices that are ready. A color outside ``covered`` can still be shown
-    by a cut vertex not yet ready, but only through one of its neighbors'
-    palettes, placed (the ``open_at`` positions) or later; and by a cover
-    edge only through a later palette. Each later palette holds at most two
-    colors, so a child prefix survives only while the colors missing from
-    ``covered`` and from the open palettes number at most twice the
-    positions left. This also cuts every prefix that can no longer
-    introduce all k colors.
+    A palette can still leave a color with nowhere to show: not allowed on
+    any cover edge and in no candidate set of a cut vertex. ``_across``
+    rejects it before any branch or matching, so the enumeration does not
+    test for it.
     """
     size = len(tables.order)
-    full = (1 << k) - 1
     earlier = tables.earlier
     ready_at = tables.ready_at
-    open_at = tables.open_at
     sets = [0] * size
     choices = {}
 
@@ -257,9 +238,9 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
             admit(1 << t | 1 << (t + 1), t + 2, True)
         return out
 
-    def rec(p: int, t: int, pending, covered: int):
+    def rec(p: int, t: int, pending):
         if p == size:
-            if t == k and covered == full:
+            if t == k:
                 yield tuple(sets)
             return
         key = (t, pending)
@@ -268,38 +249,23 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
             opts = choices[key] = options(t, pending)
         before = [sets[q] for q in earlier[p]]
         ready = ready_at[p]
-        # colors a cut vertex not yet ready may still show through a placed
-        # neighbor; everything else uncovered needs a later palette
-        shared = 0
-        y_open = False
-        for q in open_at[p]:
-            if q == p:
-                y_open = True
-            else:
-                shared |= sets[q]
-        rest = 2 * (size - p - 1)
+        # each later position introduces at most two colors
+        need = k - 2 * (size - p - 1)
         for y, t2, pending2 in opts:
-            covered2 = covered
+            if t2 < need:
+                continue
             for m in before:
                 if not m & y:
                     break
-                covered2 |= m & y
             else:
                 sets[p] = y
                 for nbrs in ready:
-                    cands = cache[tuple([sets[i] for i in nbrs])]
-                    if not cands:
+                    if not cache[tuple([sets[i] for i in nbrs])]:
                         break
-                    for c in cands:
-                        covered2 |= c
                 else:
-                    left = full & ~covered2 & ~shared
-                    if y_open:
-                        left &= ~y
-                    if left.bit_count() <= rest:
-                        yield from rec(p + 1, t2, pending2, covered2)
+                    yield from rec(p + 1, t2, pending2)
 
-    yield from rec(0, 0, (), 0)
+    yield from rec(0, 0, ())
 
 
 class _Cover:

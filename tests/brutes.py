@@ -8,7 +8,7 @@ to have, and a restart-from-the-smallest-vertex run of the dual kernel's
 contractions.
 The one exception is ``ref_palette_search``, which feeds the reference palette
 enumeration into the solver's own per-palette search, so that a test can
-compare the pruned enumeration alone against it; ``ref_palette_feasible``
+compare the memoized enumeration alone against it; ``ref_palette_feasible``
 checks that per-palette search on its own.
 """
 
@@ -343,7 +343,7 @@ def ref_palette_feasible(g: Graph, cover, tau: dict[int, int], k: int) -> bool:
 
 
 def ref_palette_search(g: Graph, cover: tuple[int, ...], k: int):
-    """The palette search with the unpruned reference enumeration: every
+    """The palette search with the loop reference enumeration: every
     palette of ``ref_enum_tau_masks`` goes through ``_Cover``, ``_across``
     and ``_assemble`` in turn. Returns (per-edge colors or None, stats)."""
     stats = SolveStats()

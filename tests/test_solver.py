@@ -168,8 +168,10 @@ def _sanity(g, order, k, tau):
     )
 
 
-def _coverable(g, order, k, tau):
-    return ref_coverable(g, order, {v: _mask(tau[v]) for v in order}, k)
+def _live(g, order, k, tau):
+    """No cut vertex is left without a candidate color set."""
+    fields = ref_cover_fields(g, order, {v: _mask(tau[v]) for v in order}, k)
+    return not fields["dead"]
 
 
 def _orbit_key(order, k, tau):
@@ -200,7 +202,7 @@ class TestPaletteEnumeration:
         want = {
             _orbit_key(order, k, tau)
             for tau in _raw_assignments(order, k)
-            if _sanity(g, order, k, tau) and _coverable(g, order, k, tau)
+            if _sanity(g, order, k, tau) and _live(g, order, k, tau)
         }
         assert set(keys) == want
 
@@ -209,7 +211,7 @@ class TestPaletteEnumeration:
         for tau in _palettes(g, (0, 1, 2), 3):
             assert all(1 <= len(s) <= 2 for s in tau.values())
             assert _sanity(g, (0, 1, 2), 3, tau)
-            assert _coverable(g, (0, 1, 2), 3, tau)
+            assert _live(g, (0, 1, 2), 3, tau)
 
 
 class TestCheckTop:
@@ -288,6 +290,20 @@ class TestCheckAcross:
         assert (stats.across_branch_events, stats.x_guesses) == (0, 1)
 
 
+def _reference_palettes():
+    """Every palette of the reference enumeration on every connected graph
+    with up to 6 vertices, every k from 2 to n, over both the matched and
+    the minimum cover (once when they agree), as (g, cover, k, _Cover)."""
+    for g in connected_graphs_upto(6):
+        matched = _matching_cover(g)
+        for cover in dict.fromkeys((matched, _min_cover(g, matched))):
+            tables = _Tables(g, cover)
+            for k in range(2, g.n + 1):
+                cache = _CandidateCache()
+                for tau in ref_enum_tau_masks(g, cover, k):
+                    yield g, cover, k, _Cover(tables, tau, k, cache)
+
+
 class TestPaletteSearch:
     """``_across`` decides each palette on its own: it must agree with a
     set-union brute force on every palette of the reference enumeration,
@@ -295,26 +311,33 @@ class TestPaletteSearch:
 
     def test_agrees_with_set_union_reference(self):
         checked = 0
-        for g in connected_graphs_upto(6):
-            matched = _matching_cover(g)
-            for cover in dict.fromkeys((matched, _min_cover(g, matched))):
-                tables = _Tables(g, cover)
-                for k in range(2, g.n + 1):
-                    cache = _CandidateCache()
-                    for tau in ref_enum_tau_masks(g, cover, k):
-                        cov = _Cover(tables, tau, k, cache)
-                        found = _across(cov, SolveStats())
-                        want = ref_palette_feasible(
-                            g, cover, dict(zip(cover, tau)), k)
-                        where = f"edges={g.edges} cover={cover} k={k} tau={tau}"
-                        assert (found is not None) == want, where
-                        if found is not None:
-                            colors = _assemble(g, cov, *found)
-                            check = verify_coloring(g, EdgeColoring(colors))
-                            assert check.valid, where
-                            assert check.colors_used == k, where
-                        checked += 1
+        for g, cover, k, cov in _reference_palettes():
+            found = _across(cov, SolveStats())
+            want = ref_palette_feasible(g, cover, dict(zip(cover, cov.tau)), k)
+            where = f"edges={g.edges} cover={cover} k={k} tau={cov.tau}"
+            assert (found is not None) == want, where
+            if found is not None:
+                colors = _assemble(g, cov, *found)
+                check = verify_coloring(g, EdgeColoring(colors))
+                assert check.valid, where
+                assert check.colors_used == k, where
+            checked += 1
         assert checked > 10000
+
+    def test_rejects_uncoverable_palettes_before_any_work(self):
+        # the enumeration does not test whether every color has somewhere
+        # to show; _across alone turns such palettes away, with no branch
+        # or matching counted
+        checked = 0
+        for g, cover, k, cov in _reference_palettes():
+            if ref_coverable(g, cover, dict(zip(cover, cov.tau)), k):
+                continue
+            stats = SolveStats()
+            where = f"edges={g.edges} cover={cover} k={k} tau={cov.tau}"
+            assert _across(cov, stats) is None, where
+            assert stats == SolveStats(), where
+            checked += 1
+        assert checked > 5000
 
 
 class TestBranchDiscipline:
@@ -407,10 +430,7 @@ class TestMemoizedSearch:
                     assert pre.cover == cover
                 tables = _Tables(g, cover)
                 got = list(_enum_tau_masks(tables, k, _CandidateCache()))
-                want = [
-                    tau for tau in ref_enum_tau_masks(g, cover, k)
-                    if ref_coverable(g, cover, dict(zip(cover, tau)), k)
-                ]
+                want = list(ref_enum_tau_masks(g, cover, k))
                 assert got == want, f"edges={g.edges} k={k}"
                 checked += len(got)
         assert checked > 1000
@@ -436,9 +456,8 @@ class TestMemoizedSearch:
 
     def test_enumeration_never_yields_a_dead_palette(self):
         # _Cover assumes every cut vertex has a candidate; the rebuild
-        # from the graph checks each yielded palette for one without. Up to
-        # six vertices the coverage bound alone drops every such palette,
-        # so the test also takes seeded 7-vertex draws, where it does not
+        # from the graph checks each yielded palette for one without, on
+        # every small graph and on seeded 7-vertex draws
         draws = (gen_random(7, 0.25, seed) for seed in range(60))
         checked = 0
         for g in itertools.chain(connected_graphs_upto(6), (
@@ -454,8 +473,8 @@ class TestMemoizedSearch:
 
 
 def _differential_check(g):
-    """solve_exact against the unpruned reference enumeration fed to the
-    same per-palette search, at every k the palette search decides."""
+    """solve_exact against the loop reference enumeration fed to the same
+    per-palette search, at every k the palette search decides."""
     searched = 0
     for k in range(2, g.n):
         pre = matching_preprocess(g, k)
@@ -471,16 +490,17 @@ def _differential_check(g):
                 got.across_branch_max_width) == (
             ref.top_branch_events, ref.across_branch_events,
             ref.across_branch_max_width), where
-        assert got.palettes <= ref.palettes, where
-        assert got.x_guesses <= ref.x_guesses, where
+        assert got.palettes == ref.palettes, where
+        assert got.x_guesses == ref.x_guesses, where
         searched += 1
     return searched
 
 
 class TestPrunedSearch:
-    """Skipping palettes that cannot show all k colors drops only palettes
-    without a witness: verdict, witness and branch counters equal those of
-    the unpruned enumeration."""
+    """The memoized search, with its dead-prefix and color-count cuts,
+    walks the reference's palettes in the reference's order, so the
+    verdict, the witness and every counter equal those of the loop
+    reference."""
 
     def test_small_graphs(self):
         searched = sum(_differential_check(g) for g in connected_graphs_upto(6))
@@ -501,10 +521,8 @@ class TestPrunedSearch:
 
 # seeded draws whose greedy matching has size 3 (a 6-vertex matched cover;
 # the search runs on a minimum cover of 3 to 6 vertices), with SolveStats
-# fields and witness colors. The three branch fields and the witnesses come
-# from the loop-based search over every palette on that minimum cover; they
-# do not depend on the palettes that cannot show all k colors, which
-# palettes and x_guesses (the first two fields) no longer count
+# fields and witness colors. ``palettes`` also counts the palettes that
+# ``_across`` rejects because some color has nowhere to show
 PINNED = [
     ((9, 0.2, 1), 5, (4, 9, 0, 6, 2), [0, 0, 1, 0, 0, 2, 3, 4]),
     ((9, 0.2, 1), 6, (1, 4, 0, 3, 2), None),
@@ -516,7 +534,7 @@ PINNED = [
     ((10, 0.25, 36), 7, (1, 8, 0, 5, 4), None),
     ((11, 0.25, 3), 7, (1, 1, 0, 3, 2),
      [0, 0, 1, 0, 2, 3, 4, 5, 6, 5]),
-    ((11, 0.3, 1), 7, (1, 1, 0, 0, 0), None),
+    ((11, 0.3, 1), 7, (2, 1, 0, 0, 0), None),
 ]
 
 
