@@ -21,8 +21,9 @@ Each solve does a piece of work once. What depends only on the graph and
 the cover (cover edges, cut vertices, each cut vertex's neighbors, the
 order constraints of the enumeration) is built once per solve in
 ``_Tables``; ``_Cover`` then computes only what a palette changes: the
-allowed colors per cover edge and the candidate lists. The enumeration
-builds the choices for each (introduced colors, pending pairs) key once.
+allowed colors per cover edge and the candidate lists. The choices at an
+enumeration node depend only on (introduced colors, pending pairs, colors
+still allowed in), so ``_options`` builds each list once per process.
 Candidate lists come from one routine, ``_candidates``, whose results the
 enumeration and ``_Cover`` share through a ``_CandidateCache`` that each
 solve creates and drops.
@@ -39,7 +40,17 @@ Key facts the implementation leans on (each argued where used):
   forcing and branching keep only the candidates whose part is maximal,
   the smallest mask for each part;
 * candidate families without a shared color have at most 4 members, so
-  branching stays narrow;
+  a branch is at most ``ACROSS_BRANCH_LIMIT`` = 4 wide. Every candidate
+  meets every neighbor palette. A palette {a} puts a in every candidate,
+  a shared color. Otherwise every candidate meets the first palette
+  {a, b}. If every palette is {a, b}, the candidates lie among {a}, {b}
+  and {a, b}. A palette {c, d} disjoint from it leaves exactly the 4
+  cross pairs. Otherwise some palette {a, c} shares one color with it,
+  and a candidate without a holds b and c. Since the family shares no
+  color, {b, c} is then a candidate, so every palette meets {b, c}. If
+  every palette holds a, each is {a, b} or {a, c}, and the candidates lie
+  among {a}, {a, b}, {a, c} and {b, c}. If some palette Q lacks a, every
+  candidate holding a is a plus a color of Q, so there are at most 3;
 * candidate sets are kept only when they can be realized exactly (every
   listed color actually appears at the vertex), which is what makes the
   matching stage's accounting sound;
@@ -49,27 +60,37 @@ Key facts the implementation leans on (each argued where used):
   any branch or matching;
 * every enumerated palette gives every cut vertex a candidate: a prefix is
   dropped as soon as a cut vertex whose neighbors all lie in it has none,
-  and every cut vertex is ready by the last position.
+  and every cut vertex is ready by the last position;
+* in a witness, the palette of a cover vertex is exactly the set of colors
+  on its edges, and a color on edge (v, u) lies in the palette of u, or in
+  u's candidate when u is a cut vertex. So the enumeration drops a prefix
+  once a cover vertex whose neighborhood, and the neighbors of its cut
+  neighbors, are placed cannot put each of its colors on a distinct edge
+  (the closing rule). Every cover vertex has an edge, since a minimum or
+  matched cover holds no isolated vertex. A palette passing the rule shows
+  each color somewhere, so ``_across``'s early exit never fires on an
+  enumerated palette.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graphs import EdgeColoring, Graph, is_two_factor, verify_coloring
 from .matching import Continue, ForcedNo, ForcedYes, matching_preprocess
 from .matching import BipartiteGraph, max_bipartite_matching
 
-ACROSS_BRANCH_LIMIT = 10
+ACROSS_BRANCH_LIMIT = 4
 
 
 @dataclass
 class SolveStats:
     """Search counters, mainly to audit the branching discipline.
 
-    ``palettes``: palette assignments enumerated, including those
-    ``_across`` rejects before any branch because no cover edge or cut
-    vertex can show some color. ``x_guesses``: final matchings run, one per
+    ``palettes``: palette assignments enumerated, after the enumeration's
+    closing rule has dropped those in which some cover vertex cannot show
+    its whole palette. ``x_guesses``: final matchings run, one per
     leaf of the per-palette search; each fixes the colors of the cover
     edges in one step. ``top_branch_events``: always 0, since the cover
     edges join the matching instead of branching; the field stays so that
@@ -148,11 +169,15 @@ class _Tables:
     holds the ids of the cover edges and ``s_pos`` their end positions,
     ``cut_nbrs`` the neighbor positions of each vertex in ``cut_vertices``,
     ``earlier[p]`` the neighbors of position p that come before it, and
-    ``ready_at[p]`` the ``cut_nbrs`` entries whose last neighbor is at p."""
+    ``ready_at[p]`` the ``cut_nbrs`` entries whose last neighbor is at p.
+    ``closes_at[p]`` lists the cover positions that close at p, each as
+    (position, its cover neighbors, the ``cut_nbrs`` entries of its cut
+    neighbors): p is the last of the position itself, its cover neighbors
+    and every neighbor of its cut neighbors."""
 
     __slots__ = (
         "order", "s_edges", "s_pos", "cut_vertices", "cut_nbrs", "earlier",
-        "ready_at",
+        "ready_at", "closes_at",
     )
 
     def __init__(self, g: Graph, order: tuple[int, ...]):
@@ -177,6 +202,54 @@ class _Tables:
         self.ready_at = [[] for _ in order]
         for nbrs in self.cut_nbrs:
             self.ready_at[max(nbrs)].append(nbrs)
+        cut_index = {u: i for i, u in enumerate(self.cut_vertices)}
+        self.closes_at = [[] for _ in order]
+        for i, v in enumerate(order):
+            mates = tuple(index[w] for _, w in g.adj[v] if w in index)
+            cuts = tuple(
+                self.cut_nbrs[cut_index[w]] for _, w in g.adj[v]
+                if w not in index
+            )
+            last = max((i, *mates, *(q for nbrs in cuts for q in nbrs)))
+            self.closes_at[last].append((i, mates, cuts))
+
+
+@cache
+def _options(t: int, pending: tuple, room: int) -> tuple:
+    """The sets a cover position may take after colors 0..t-1 appeared,
+    with ``pending`` the pairs introduced together whose order is still
+    open and ``room`` = min(k - t, 2) the number of new colors allowed.
+    Each item is (mask, introduced_after, pending_after), in a fixed
+    order. Pure, so one table serves every solve."""
+    out = []
+
+    def admit(y: int, t2: int, adds_pair: bool):
+        kept = []
+        for pair in pending:
+            i, j = pair
+            has_i = y >> i & 1
+            has_j = y >> j & 1
+            if has_i != has_j:
+                if has_j:
+                    return
+            else:
+                kept.append(pair)
+        if adds_pair:
+            kept.append((t, t + 1))
+        out.append((y, t2, tuple(kept)))
+
+    for a in range(t):
+        admit(1 << a, t, False)
+    for a in range(t):
+        for b in range(a + 1, t):
+            admit(1 << a | 1 << b, t, False)
+    if room >= 1:
+        admit(1 << t, t + 1, False)
+        for a in range(t):
+            admit(1 << a | 1 << t, t + 1, False)
+    if room >= 2:
+        admit(1 << t | 1 << (t + 1), t + 2, True)
+    return tuple(out)
 
 
 def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
@@ -188,67 +261,58 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
     two colors are introduced together the first later set containing
     exactly one of them must contain the smaller. Assignments are filtered
     to those whose sets jointly cover all k colors and intersect on every
-    cover edge. A prefix is dropped as soon as some cut vertex whose
-    neighbors all lie in it has no candidate color set, or once the later
-    positions, each introducing at most two colors, can no longer bring in
-    all k. The choices at a node depend only on (t, pending), so they are
-    built once per key.
+    cover edge. A prefix is dropped as soon as the later positions, each
+    introducing at most two colors, can no longer bring in all k, or as
+    soon as one of these fails:
 
-    A palette can still leave a color with nowhere to show: not allowed on
-    any cover edge and in no candidate set of a cut vertex. ``_across``
-    rejects it before any branch or matching, so the enumeration does not
-    test for it.
+    * a cut vertex whose neighbors all lie in the prefix has a candidate
+      color set;
+    * a cover vertex that has closed (``tables.closes_at``) can show its
+      whole palette: every color of it is offered by some neighbor, a
+      cover neighbor offering its palette and a cut neighbor the union of
+      its candidates, and a two-color palette has two distinct neighbors
+      offering something of it (Hall's condition for two colors, given
+      that both colors are offered).
+
+    Both hold for the exact palettes of every witness, and neither depends
+    on how colors are labeled, so every witness keeps a yielded palette in
+    its orbit. Every color of a yielded palette is then allowed on a cover
+    edge or listed in a candidate of a cut vertex, so ``_across``'s check
+    for a color with nowhere to show never rejects one.
     """
     size = len(tables.order)
     earlier = tables.earlier
     ready_at = tables.ready_at
+    closes_at = tables.closes_at
     sets = [0] * size
-    choices = {}
 
-    def options(t: int, pending):
-        # sets over colors 0..t-1 plus controlled introductions; each item
-        # is (mask, introduced_after, pending_after) in a fixed order
-        out = []
-
-        def admit(y: int, t2: int, adds_pair: bool):
-            kept = []
-            for pair in pending:
-                i, j = pair
-                has_i = y >> i & 1
-                has_j = y >> j & 1
-                if has_i != has_j:
-                    if has_j:
-                        return
-                else:
-                    kept.append(pair)
-            if adds_pair:
-                kept.append((t, t + 1))
-            out.append((y, t2, tuple(kept)))
-
-        for a in range(t):
-            admit(1 << a, t, False)
-        for a in range(t):
-            for b in range(a + 1, t):
-                admit(1 << a | 1 << b, t, False)
-        if t < k:
-            admit(1 << t, t + 1, False)
-            for a in range(t):
-                admit(1 << a | 1 << t, t + 1, False)
-        if t + 1 < k:
-            admit(1 << t | 1 << (t + 1), t + 2, True)
-        return out
+    def shows(v: int, mates, cuts) -> bool:
+        y = sets[v]
+        seen = hits = 0
+        for w in mates:
+            o = sets[w] & y
+            if o:
+                seen |= o
+                hits += 1
+        for nbrs in cuts:
+            o = 0
+            for c in cache[tuple([sets[i] for i in nbrs])]:
+                o |= c
+            o &= y
+            if o:
+                seen |= o
+                hits += 1
+        return seen == y and hits >= y.bit_count()
 
     def rec(p: int, t: int, pending):
         if p == size:
             if t == k:
                 yield tuple(sets)
             return
-        key = (t, pending)
-        opts = choices.get(key)
-        if opts is None:
-            opts = choices[key] = options(t, pending)
+        opts = _options(t, pending, min(k - t, 2))
         before = [sets[q] for q in earlier[p]]
         ready = ready_at[p]
+        closing = closes_at[p]
         # each later position introduces at most two colors
         need = k - 2 * (size - p - 1)
         for y, t2, pending2 in opts:
@@ -263,7 +327,11 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
                     if not cache[tuple([sets[i] for i in nbrs])]:
                         break
                 else:
-                    yield from rec(p + 1, t2, pending2)
+                    for v, mates, cuts in closing:
+                        if not shows(v, mates, cuts):
+                            break
+                    else:
+                        yield from rec(p + 1, t2, pending2)
 
     yield from rec(0, 0, ())
 

@@ -183,11 +183,14 @@ def all_capacity_maps(n: int):
         yield tuple(2 if bits >> v & 1 else 1 for v in range(n))
 
 
-def ref_enum_tau_masks(g: Graph, order: tuple[int, ...], k: int):
+def ref_enum_tau_masks(g: Graph, order: tuple[int, ...], k: int,
+                       realizable: bool = True):
     """Reference palette enumeration: the solver's canonical-order search as
     a plain recursive loop, recomputing every option list and candidate
-    check at each node. The solver's memoized enumerator must yield the
-    same tuples in the same order."""
+    check at each node, with ``ref_realizable`` tested only on whole
+    palettes. The solver's memoized enumerator must yield the same tuples
+    in the same order. ``realizable=False`` skips that test, which leaves
+    palettes some cover vertex cannot show."""
     if k < 1:
         return
     index = {v: i for i, v in enumerate(order)}
@@ -241,7 +244,8 @@ def ref_enum_tau_masks(g: Graph, order: tuple[int, ...], k: int):
 
     def rec(p: int, t: int, pending):
         if p == len(order):
-            if t == k:
+            if t == k and (not realizable or ref_realizable(
+                    g, order, dict(zip(order, sets)), k)):
                 yield tuple(sets)
             return
         if t + 2 * (len(order) - p) < k:
@@ -270,6 +274,33 @@ def ref_candidates(masks) -> list[int]:
             if all(m & (1 << a | 1 << b) for m in masks)
         ]
     return sorted(out)
+
+
+def ref_realizable(g: Graph, order, tau: dict[int, int], k: int) -> bool:
+    """Whether every cover vertex in ``order`` can show its whole palette
+    ``tau[v]``: its colors go to distinct neighbors, each color to one that
+    offers it. A cover neighbor offers its palette, a cut neighbor every
+    color of its ``ref_candidates``. Tried over every ordered choice of
+    neighbors, one per color."""
+    in_cover = set(order)
+    for v in order:
+        offers = []
+        for _, w in g.adj[v]:
+            if w in in_cover:
+                offers.append(tau[w])
+            else:
+                cands = ref_candidates([tau[x] for _, x in g.adj[w]])
+                offer = 0
+                for y in cands:
+                    offer |= y
+                offers.append(offer)
+        colors = [c for c in range(k) if tau[v] >> c & 1]
+        if not any(
+            all(offer >> c & 1 for c, offer in zip(colors, chosen))
+            for chosen in permutations(offers, len(colors))
+        ):
+            return False
+    return True
 
 
 def ref_cover_fields(g: Graph, cover, tau: dict[int, int], k: int) -> dict:

@@ -1,0 +1,47 @@
+"""Differential gate: ``solve_exact`` against the oracle on every small graph.
+
+Asks ``solve_exact`` every k from 0 to n + 1 on each graph of
+``brutes.graphs_upto_seven()`` (91,441 questions) and compares the verdict
+with ``sigma_exact(edge_limit=None)``. Every YES witness is verified inside
+``solve_exact``. Prints the number of questions, of disagreements and the
+summed search counters, and exits 1 on any disagreement. pytest does not
+collect this file; run it from the root of a checkout::
+
+    PYTHONPATH=src python tests/differential.py
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from dataclasses import asdict
+
+from brutes import graphs_upto_seven
+from maxec import sigma_exact, solve_exact
+
+
+def main() -> int:
+    start = time.perf_counter()
+    questions = 0
+    wrong = []
+    totals: dict[str, int] = {}
+    for g in graphs_upto_seven():
+        sigma = sigma_exact(g, edge_limit=None).sigma
+        for k in range(g.n + 2):
+            res = solve_exact(g, k)
+            questions += 1
+            if res.yes != (sigma >= k):
+                wrong.append((g.n, g.edges, k, sigma))
+            for name, value in asdict(res.stats).items():
+                if name != "across_branch_max_width":
+                    totals[name] = totals.get(name, 0) + value
+    for n, edges, k, sigma in wrong[:20]:
+        print(f"disagree: n={n} edges={edges} k={k} sigma={sigma}")
+    counters = ", ".join(f"{name} {value:,}" for name, value in totals.items())
+    print(f"{questions:,} questions, {len(wrong)} disagreements; {counters}; "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

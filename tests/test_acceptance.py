@@ -271,7 +271,7 @@ def test_08_reduction_chain_agrees_with_brute_force():
 def test_09_branching_never_exceeds_its_advertised_widths():
     def audited(g: Graph, k: int) -> None:
         stats = solve_exact(g, k).stats
-        assert stats.across_branch_max_width <= 10, (g.edges, k)
+        assert stats.across_branch_max_width <= 4, (g.edges, k)
 
     for g in _connected_family():
         for k in range(g.n + 1):

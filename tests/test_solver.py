@@ -15,6 +15,7 @@ from brutes import (
     ref_enum_tau_masks,
     ref_palette_feasible,
     ref_palette_search,
+    ref_realizable,
 )
 from maxec import (
     EdgeColoring,
@@ -54,7 +55,7 @@ def _assert_agrees(g, k):
             assert check.colors_used == k
     else:
         assert res.witness is None
-    assert res.stats.across_branch_max_width <= 10
+    assert res.stats.across_branch_max_width <= 4
     return res
 
 
@@ -169,9 +170,11 @@ def _sanity(g, order, k, tau):
 
 
 def _live(g, order, k, tau):
-    """No cut vertex is left without a candidate color set."""
-    fields = ref_cover_fields(g, order, {v: _mask(tau[v]) for v in order}, k)
-    return not fields["dead"]
+    """No cut vertex is left without a candidate color set, and every cover
+    vertex can show its whole palette."""
+    masks = {v: _mask(tau[v]) for v in order}
+    fields = ref_cover_fields(g, order, masks, k)
+    return not fields["dead"] and ref_realizable(g, order, masks, k)
 
 
 def _orbit_key(order, k, tau):
@@ -212,6 +215,25 @@ class TestPaletteEnumeration:
             assert all(1 <= len(s) <= 2 for s in tau.values())
             assert _sanity(g, (0, 1, 2), 3, tau)
             assert _live(g, (0, 1, 2), 3, tau)
+
+    def test_witness_palettes_survive_the_closing_rule(self):
+        # the exact palettes of an optimal coloring, taken from the oracle,
+        # must be one of the yielded palettes up to relabeling colors
+        checked = 0
+        for g in connected_graphs_upto(5):
+            res = sigma_exact(g, edge_limit=None)
+            k = res.sigma
+            if k < 1:
+                continue
+            label = {}
+            colors = [label.setdefault(c, len(label)) for c in res.witness]
+            order = _min_cover(g, _matching_cover(g))
+            exact = {v: frozenset(colors[eid] for eid, _ in g.adj[v])
+                     for v in order}
+            keys = {_orbit_key(order, k, tau) for tau in _palettes(g, order, k)}
+            assert _orbit_key(order, k, exact) in keys, f"edges={g.edges}"
+            checked += 1
+        assert checked > 25
 
 
 class TestCheckTop:
@@ -291,16 +313,17 @@ class TestCheckAcross:
 
 
 def _reference_palettes():
-    """Every palette of the reference enumeration on every connected graph
-    with up to 6 vertices, every k from 2 to n, over both the matched and
-    the minimum cover (once when they agree), as (g, cover, k, _Cover)."""
+    """Every palette of the reference enumeration without its realizability
+    test, on every connected graph with up to 6 vertices, every k from 2 to
+    n, over both the matched and the minimum cover (once when they agree),
+    as (g, cover, k, _Cover)."""
     for g in connected_graphs_upto(6):
         matched = _matching_cover(g)
         for cover in dict.fromkeys((matched, _min_cover(g, matched))):
             tables = _Tables(g, cover)
             for k in range(2, g.n + 1):
                 cache = _CandidateCache()
-                for tau in ref_enum_tau_masks(g, cover, k):
+                for tau in ref_enum_tau_masks(g, cover, k, realizable=False):
                     yield g, cover, k, _Cover(tables, tau, k, cache)
 
 
@@ -325,9 +348,9 @@ class TestPaletteSearch:
         assert checked > 10000
 
     def test_rejects_uncoverable_palettes_before_any_work(self):
-        # the enumeration does not test whether every color has somewhere
-        # to show; _across alone turns such palettes away, with no branch
-        # or matching counted
+        # palettes where some color has nowhere to show; the enumeration's
+        # closing rule never yields one, and _across turns them away on its
+        # own, with no branch or matching counted
         checked = 0
         for g, cover, k, cov in _reference_palettes():
             if ref_coverable(g, cover, dict(zip(cover, cov.tau)), k):
@@ -342,7 +365,8 @@ class TestPaletteSearch:
 
 class TestBranchDiscipline:
     def test_stats_populated_on_hard_no(self):
-        res = solve_exact(gen_random(10, 0.2, 6), 5)
+        # a NO whose enumeration still yields a palette (PINNED[8])
+        res = solve_exact(gen_random(11, 0.3, 1), 7)
         assert not res.yes
         assert res.stats.palettes > 0
         assert res.stats.x_guesses >= res.stats.palettes
@@ -521,20 +545,20 @@ class TestPrunedSearch:
 
 # seeded draws whose greedy matching has size 3 (a 6-vertex matched cover;
 # the search runs on a minimum cover of 3 to 6 vertices), with SolveStats
-# fields and witness colors. ``palettes`` also counts the palettes that
-# ``_across`` rejects because some color has nowhere to show
+# fields and witness colors. The enumeration's closing rule leaves three
+# of the NO questions without a single palette
 PINNED = [
-    ((9, 0.2, 1), 5, (4, 9, 0, 6, 2), [0, 0, 1, 0, 0, 2, 3, 4]),
-    ((9, 0.2, 1), 6, (1, 4, 0, 3, 2), None),
+    ((9, 0.2, 1), 5, (1, 1, 0, 1, 2), [0, 0, 1, 0, 0, 2, 3, 4]),
+    ((9, 0.2, 1), 6, (0, 0, 0, 0, 0), None),
     ((9, 0.2, 28), 5, (1, 1, 0, 0, 0),
      [0, 1, 0, 0, 0, 0, 0, 2, 4, 3, 0, 0]),
-    ((9, 0.25, 10), 5, (6, 13, 0, 8, 2), [0, 1, 0, 2, 3, 0, 4, 0]),
-    ((10, 0.2, 6), 5, (1, 4, 0, 3, 2), None),
-    ((10, 0.25, 36), 6, (2, 5, 0, 4, 4), [0, 1, 2, 3, 4, 0, 5, 0]),
-    ((10, 0.25, 36), 7, (1, 8, 0, 5, 4), None),
+    ((9, 0.25, 10), 5, (1, 1, 0, 1, 2), [0, 1, 0, 2, 3, 0, 4, 0]),
+    ((10, 0.2, 6), 5, (0, 0, 0, 0, 0), None),
+    ((10, 0.25, 36), 6, (1, 1, 0, 1, 4), [0, 1, 2, 3, 4, 0, 5, 0]),
+    ((10, 0.25, 36), 7, (0, 0, 0, 0, 0), None),
     ((11, 0.25, 3), 7, (1, 1, 0, 3, 2),
      [0, 0, 1, 0, 2, 3, 4, 5, 6, 5]),
-    ((11, 0.3, 1), 7, (2, 1, 0, 0, 0), None),
+    ((11, 0.3, 1), 7, (1, 1, 0, 0, 0), None),
 ]
 
 
