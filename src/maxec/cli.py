@@ -9,16 +9,13 @@ Exit codes: 0 yes or success, 1 no or invalid, 2 usage or format error,
 (one line on stderr, never a verdict). The first stdout
 line of every command is stable: "YES k=<k>", "NO", "sigma=<s>",
 "VALID colors=<c>", "INVALID", "REDUCED n=<n> m=<m> k=<k>", or
-"APPROX k=<k>". File arguments accept "-" for stdin or stdout. The
-environment variable MEC_EDGE_LIMIT overrides the oracle's default edge
-cap; a value of 0 or below lifts it entirely.
+"APPROX k=<k>". File arguments accept "-" for stdin or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .formats import (
@@ -101,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sigma.add_argument(
         "--edge-limit",
         type=int,
-        help="oracle edge cap (0 lifts it; default from MEC_EDGE_LIMIT or 12)",
+        default=DEFAULT_EDGE_LIMIT,
+        help="oracle edge cap (0 or below lifts it; default %(default)s)",
     )
     sigma.add_argument("-o", "--out", help="witness coloring file (default: stdout)")
     sigma.add_argument("graph", nargs="?", default="-")
@@ -221,24 +219,11 @@ def _cmd_solve(args) -> int:
     return EXIT_YES
 
 
-def _edge_limit(args) -> int | None:
-    if args.edge_limit is not None:
-        value = args.edge_limit
-    else:
-        env = os.environ.get("MEC_EDGE_LIMIT")
-        if env is None:
-            return DEFAULT_EDGE_LIMIT
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"MEC_EDGE_LIMIT must be an integer, got {env!r}") from None
-    return None if value <= 0 else value
-
-
 def _cmd_sigma(args) -> int:
     g, f = load_instance(_read(args.graph))
     profile = ValidityProfile(f=f) if f is not None else ValidityProfile()
-    res = sigma_exact(g, profile, edge_limit=_edge_limit(args))
+    limit = args.edge_limit if args.edge_limit > 0 else None
+    res = sigma_exact(g, profile, edge_limit=limit)
     print(f"sigma={res.sigma}")
     _write(args.out, render_coloring(g, res.witness))
     return EXIT_YES

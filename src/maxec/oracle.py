@@ -34,7 +34,6 @@ position after its first optimum, which is quadratic.
 
 Connected components are solved independently and summed; the number of
 colors is additive because components can always use disjoint palettes.
-``sigma_threshold`` is ``sigma_exact`` compared with k.
 """
 
 from __future__ import annotations
@@ -93,20 +92,6 @@ def sigma_exact(
     if any(c is None for c in colors):
         raise AssertionError("some edge was left uncolored")
     return SigmaResult(total, EdgeColoring(colors))
-
-
-def sigma_threshold(
-    g: Graph,
-    k: int,
-    profile: ValidityProfile = DEFAULT_PROFILE,
-    edge_limit: int | None = DEFAULT_EDGE_LIMIT,
-) -> bool:
-    """True iff some valid coloring uses at least ``k`` colors.
-
-    This is ``sigma_exact(g, profile, edge_limit).sigma >= k``, with the
-    same refusals: it computes the full optimum and never stops early.
-    """
-    return sigma_exact(g, profile, edge_limit).sigma >= k
 
 
 def _check_limit(g: Graph, edge_limit: int | None) -> None:

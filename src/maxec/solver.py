@@ -56,8 +56,9 @@ Key facts the implementation leans on (each argued where used):
   matching stage's accounting sound;
 * a color can only appear on a cover edge whose two palettes hold it or
   in a candidate set of a cut vertex, so a palette whose cover edges and
-  candidates miss a color has no witness; ``_across`` rejects it before
-  any branch or matching;
+  candidates miss a color has no witness; nothing offers that color, so
+  it stays in ``_across``'s leftover and the final matching rejects the
+  palette;
 * every enumerated palette gives every cut vertex a candidate: a prefix is
   dropped as soon as a cut vertex whose neighbors all lie in it has none,
   and every cut vertex is ready by the last position;
@@ -67,9 +68,7 @@ Key facts the implementation leans on (each argued where used):
   once a cover vertex whose neighborhood, and the neighbors of its cut
   neighbors, are placed cannot put each of its colors on a distinct edge
   (the closing rule). Every cover vertex has an edge, since a minimum or
-  matched cover holds no isolated vertex. A palette passing the rule shows
-  each color somewhere, so ``_across``'s early exit never fires on an
-  enumerated palette.
+  matched cover holds no isolated vertex.
 """
 
 from __future__ import annotations
@@ -276,9 +275,7 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
 
     Both hold for the exact palettes of every witness, and neither depends
     on how colors are labeled, so every witness keeps a yielded palette in
-    its orbit. Every color of a yielded palette is then allowed on a cover
-    edge or listed in a candidate of a cut vertex, so ``_across``'s check
-    for a color with nowhere to show never rejects one.
+    its orbit.
     """
     size = len(tables.order)
     earlier = tables.earlier
@@ -341,13 +338,10 @@ class _Cover:
     candidate lists of every cut vertex, on top of the per-solve
     ``_Tables``; ``tau`` holds the palette masks parallel to
     ``tables.order``, as yielded by ``_enum_tau_masks``, so every cut
-    vertex has a candidate. ``shown`` holds the colors every choice shows,
-    ``coverage`` every color a cover edge or an unforced cut vertex could
-    show."""
+    vertex has a candidate. ``shown`` holds the colors every choice shows."""
 
     __slots__ = (
-        "full", "tables", "tau", "allowed_full", "lists", "gee", "bee",
-        "shown", "coverage",
+        "full", "tables", "tau", "allowed_full", "lists", "gee", "bee", "shown",
     )
 
     def __init__(self, tables: _Tables, tau: tuple[int, ...], k: int,
@@ -356,9 +350,6 @@ class _Cover:
         self.tables = tables
         self.tau = tau
         self.allowed_full = [tau[i] & tau[j] for i, j in tables.s_pos]
-        self.coverage = 0
-        for a in self.allowed_full:
-            self.coverage |= a
         self.lists = {}
         self.gee = []
         self.bee = []
@@ -377,8 +368,6 @@ class _Cover:
                 self.gee.append(u)
             else:
                 self.bee.append(u)
-            for y in cands:
-                self.coverage |= y
 
 
 def _best_hits(cands: tuple[int, ...], r: int) -> list[int]:
@@ -412,9 +401,6 @@ def _across(cov: _Cover, stats: SolveStats):
     shared one. So one bipartite matching that saturates r decides the
     rest, and a cover edge left unmatched takes its lowest allowed color.
     """
-    if cov.full & ~cov.shown & ~cov.coverage:
-        return None
-
     def rec(r: int, commits: dict[int, int]):
         commits = dict(commits)
         while True:

@@ -38,7 +38,7 @@ from maxec.matching import (
     matching_preprocess,
     maximal_matching,
 )
-from maxec.oracle import sigma_exact, sigma_threshold
+from maxec.oracle import sigma_exact
 from maxec.solver import solve_exact
 
 
@@ -133,7 +133,7 @@ def test_04_standard_kernel_keeps_the_verdict_and_its_promised_shape():
                 assert sigma < k, (g.edges, k)
                 continue
             assert isinstance(verdict, Reduced)
-            after = sigma_threshold(verdict.graph, verdict.k, edge_limit=None)
+            after = sigma_exact(verdict.graph, edge_limit=None).sigma >= verdict.k
             assert (sigma >= k) == after, (g.edges, k)
             pre = matching_preprocess(g, k)
             assert isinstance(pre, Continue)
@@ -257,14 +257,11 @@ def test_08_reduction_chain_agrees_with_brute_force():
                 want = has_multicolored_independent_set(inst)
                 ann = reduce_mcis(inst)
                 assert has_c4(ann.graph) is None
-                mid = sigma_threshold(
-                    ann.graph,
-                    ann.threshold,
-                    ValidityProfile(f=ann.f),
-                    edge_limit=None,
-                )
+                mid = sigma_exact(
+                    ann.graph, ValidityProfile(f=ann.f), edge_limit=None
+                ).sigma >= ann.threshold
                 plain, target = pendant_transform(ann)
-                last = sigma_threshold(plain, target, edge_limit=None)
+                last = sigma_exact(plain, edge_limit=None).sigma >= target
                 assert want == mid == last, (g.edges, parts)
 
 

@@ -35,8 +35,6 @@ TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 @pytest.fixture
 def cli(capsys, monkeypatch):
-    monkeypatch.delenv("MEC_EDGE_LIMIT", raising=False)
-
     def invoke(*args, stdin=""):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code = run(list(args))
@@ -175,28 +173,11 @@ class TestSigma:
         assert code == 3
         assert out == ""
         assert err.startswith("refused:")
-
-    def test_env_edge_limit(self, cli, monkeypatch):
-        matching = Graph(26, [(2 * i, 2 * i + 1) for i in range(13)])
-        doc = render_graph(matching)
-        monkeypatch.setenv("MEC_EDGE_LIMIT", "5")
+        # 25 edges: the default cap of 12 refuses too, and 0 lifts it
         assert cli("sigma", stdin=doc)[0] == 3
-        monkeypatch.setenv("MEC_EDGE_LIMIT", "0")
-        code, out, _ = cli("sigma", stdin=doc)
-        assert code == 0
-        assert out.startswith("sigma=13\n")
-
-    def test_flag_overrides_env(self, cli, monkeypatch):
-        monkeypatch.setenv("MEC_EDGE_LIMIT", "1")
-        code, out, _ = cli("sigma", "--edge-limit", "12", stdin=render_graph(TRIANGLE))
+        code, out, _ = cli("sigma", "--edge-limit", "0", stdin=doc)
         assert code == 0
         assert out.startswith("sigma=3\n")
-
-    def test_bad_env_value(self, cli, monkeypatch):
-        monkeypatch.setenv("MEC_EDGE_LIMIT", "plenty")
-        code, _, err = cli("sigma", stdin=render_graph(TRIANGLE))
-        assert code == 2
-        assert "MEC_EDGE_LIMIT" in err
 
     def test_internal_error_is_not_a_verdict(self, cli, monkeypatch):
         # a bug or a resource limit inside the oracle exits 4, never 1
@@ -223,10 +204,9 @@ class TestSigma:
         assert code == 0
         assert out == "VALID colors=3000\n"
 
-    def test_long_path_folds_without_recursion(self, cli, monkeypatch):
+    def test_long_path_folds_without_recursion(self, cli):
         path = Graph(3000, [(i, i + 1) for i in range(2999)])
-        monkeypatch.setenv("MEC_EDGE_LIMIT", "0")
-        code, out, _ = cli("sigma", stdin=render_graph(path))
+        code, out, _ = cli("sigma", "--edge-limit", "0", stdin=render_graph(path))
         assert code == 0
         first, witness = _witness(out, path)
         assert first == "sigma=2999"

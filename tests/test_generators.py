@@ -21,7 +21,6 @@ from maxec import (
     reduce_mcis,
     render_mcis,
     sigma_exact,
-    sigma_threshold,
 )
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -119,13 +118,13 @@ class TestReduceMCIS:
         inst = MCISInstance(Graph(2, [(0, 1)]), ((0,), (1,)))
         ann = reduce_mcis(inst)
         assert not has_multicolored_independent_set(inst)
-        assert not sigma_threshold(ann.graph, ann.threshold, ann.profile)
+        assert sigma_exact(ann.graph, ann.profile).sigma < ann.threshold
 
     def test_nonadjacent_singletons_are_a_yes(self):
         inst = MCISInstance(Graph(2, []), ((0,), (1,)))
         ann = reduce_mcis(inst)
         assert has_multicolored_independent_set(inst)
-        assert sigma_threshold(ann.graph, ann.threshold, ann.profile)
+        assert sigma_exact(ann.graph, ann.profile).sigma >= ann.threshold
 
     def test_outputs_are_c4_free(self):
         rng = random.Random(7)
@@ -149,13 +148,10 @@ class TestReduceMCIS:
                         ann = reduce_mcis(inst)
                         plain, target = pendant_transform(ann)
                         expect = has_multicolored_independent_set(inst)
-                        assert expect == sigma_threshold(
-                            ann.graph, ann.threshold, ann.profile,
-                            edge_limit=None,
-                        )
-                        assert expect == sigma_threshold(
-                            plain, target, edge_limit=None
-                        )
+                        mid = sigma_exact(ann.graph, ann.profile, edge_limit=None)
+                        assert expect == (mid.sigma >= ann.threshold)
+                        last = sigma_exact(plain, edge_limit=None)
+                        assert expect == (last.sigma >= target)
 
 
 class TestPendantTransform:
@@ -202,9 +198,9 @@ class TestPendantTransform:
             f = tuple(rng.choice((1, 2)) for _ in range(n))
             out, shift = pendant_transform(AnnotatedInstance(g, f, 0))
             for t in range(n + 2):
-                assert sigma_threshold(g, t, ValidityProfile(f=f)) == sigma_threshold(
-                    out, t + shift, edge_limit=None
-                )
+                before = sigma_exact(g, ValidityProfile(f=f)).sigma >= t
+                after = sigma_exact(out, edge_limit=None).sigma >= t + shift
+                assert before == after
 
 
 class TestGenRandom:
@@ -277,9 +273,9 @@ class TestMCISChecker:
         for _ in range(15):
             inst = _random_instance(rng, n_max=4)
             ann = reduce_mcis(inst)
-            assert has_multicolored_independent_set(inst) == sigma_threshold(
-                ann.graph, ann.threshold, ann.profile, edge_limit=None
-            )
+            want = has_multicolored_independent_set(inst)
+            res = sigma_exact(ann.graph, ann.profile, edge_limit=None)
+            assert want == (res.sigma >= ann.threshold)
 
 
 class TestMCISFormat:

@@ -13,7 +13,6 @@ from maxec import (
     Graph,
     gen_two_factor,
     sigma_exact,
-    sigma_threshold,
     solve_exact,
     verify_coloring,
 )
@@ -71,7 +70,7 @@ class TestStandardKernel:
         assert all(line.startswith("del ") for line in lines[13:])
         # the answer is unchanged: a star never reaches 4 colors
         assert sigma_exact(reduced).sigma == 2
-        assert not sigma_threshold(reduced, 4)
+        assert sigma_exact(reduced).sigma < 4
         assert not solve_exact(g, 4).yes
 
     def test_forced_yes_passthrough(self):
@@ -113,7 +112,7 @@ class TestStandardKernel:
             g = _random_graph(rng)
             for k in (3, 4):
                 res = kernelize_standard(g, k)
-                want = sigma_threshold(g, k, edge_limit=None)
+                want = sigma_exact(g, edge_limit=None).sigma >= k
                 if isinstance(res.verdict, ForcedYes):
                     assert want
                 elif isinstance(res.verdict, ForcedNo):
@@ -121,7 +120,7 @@ class TestStandardKernel:
                 else:
                     seen_reduced += 1
                     reduced = res.verdict.graph
-                    assert sigma_threshold(reduced, k, edge_limit=None) == want
+                    assert (sigma_exact(reduced, edge_limit=None).sigma >= k) == want
                     pre = matching_preprocess(g, k)
                     assert isinstance(pre, Continue)
                     inv = {orig: i for i, orig in enumerate(res.lifting.vertex_map)}
@@ -173,10 +172,10 @@ class TestDualKernel:
         # threshold n - k on both sides of the reduction
         res = kernelize_dual(P5, 1)
         reduced = res.verdict.graph
-        assert sigma_threshold(P5, P5.n - 1)
-        assert sigma_threshold(reduced, reduced.n - 1)
-        assert not sigma_threshold(P5, P5.n)
-        assert not sigma_threshold(reduced, reduced.n)
+        assert sigma_exact(P5).sigma >= P5.n - 1
+        assert sigma_exact(reduced).sigma >= reduced.n - 1
+        assert sigma_exact(P5).sigma < P5.n
+        assert sigma_exact(reduced).sigma < reduced.n
 
     def test_cycle_chain_shift(self):
         res = kernelize_dual(C5, 0)
@@ -312,7 +311,7 @@ class TestC4FreeKernel:
             k = rng.choice((3, 4))
             res = kernelize_c4free(g, k)
             if not isinstance(res.verdict, Reduced):
-                want = sigma_threshold(g, k, edge_limit=None)
+                want = sigma_exact(g, edge_limit=None).sigma >= k
                 assert want == isinstance(res.verdict, ForcedYes)
                 continue
             checked += 1

@@ -15,7 +15,6 @@ from maxec import (
     gen_two_factor,
     is_two_factor,
     sigma_exact,
-    sigma_threshold,
     verify_coloring,
 )
 
@@ -86,19 +85,19 @@ def test_matches_naive_enumeration_exhaustively():
 
 
 def test_threshold_agrees_with_exact():
-    # sigma_threshold answers through sigma_exact, so it is checked against
-    # the pruning-free enumerator rather than against sigma_exact
+    # every threshold k, against the pruning-free enumerator
     for g in connected_graphs_upto(5):
         s = dumb_sigma(g)
         for k in range(-1, g.n + 2):
-            assert sigma_threshold(g, k, edge_limit=None) == (s >= k), (g.edges, k)
+            got = sigma_exact(g, edge_limit=None).sigma
+            assert (got >= k) == (s >= k), (g.edges, k)
 
 
 def test_threshold_on_disconnected_graphs():
     g = Graph(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)])
     assert sigma_exact(g, edge_limit=None).sigma == 7
     for k in range(0, 10):
-        assert sigma_threshold(g, k, edge_limit=None) == (7 >= k)
+        assert (sigma_exact(g, edge_limit=None).sigma >= k) == (7 >= k)
 
 
 def test_capacity_profiles_exhaustively():
@@ -138,8 +137,6 @@ def test_edge_limit_refusal():
     with pytest.raises(OracleLimitError):
         sigma_exact(g)
     with pytest.raises(OracleLimitError):
-        sigma_threshold(g, 3)
-    with pytest.raises(OracleLimitError):
         sigma_exact(g, edge_limit=5)
     assert sigma_exact(g, edge_limit=None).sigma == 13
     assert sigma_exact(g, edge_limit=13).sigma == 13
@@ -147,11 +144,11 @@ def test_edge_limit_refusal():
 
 def test_trivial_thresholds():
     g = Graph(2, [(0, 1)])
-    assert sigma_threshold(g, 0)
-    assert sigma_threshold(g, -3)
-    assert sigma_threshold(Graph(1, []), 0)
-    assert not sigma_threshold(Graph(1, []), 1)
-    assert not sigma_threshold(g, 2)
+    assert sigma_exact(g).sigma >= 0
+    assert sigma_exact(g).sigma >= -3
+    assert sigma_exact(Graph(1, [])).sigma >= 0
+    assert sigma_exact(Graph(1, [])).sigma < 1
+    assert sigma_exact(g).sigma < 2
 
 
 @st.composite
@@ -172,8 +169,8 @@ def test_oracle_matches_naive_on_random_graphs(g):
     res = sigma_exact(g, edge_limit=None)
     assert res.sigma == dumb_sigma(g)
     assert verify_coloring(g, res.witness).valid
-    assert sigma_threshold(g, res.sigma, edge_limit=None)
-    assert not sigma_threshold(g, res.sigma + 1, edge_limit=None)
+    assert sigma_exact(g, edge_limit=None).sigma >= res.sigma
+    assert sigma_exact(g, edge_limit=None).sigma < res.sigma + 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,9 +202,8 @@ def test_pendant_folding_matches_plain_search():
                 check = verify_coloring(g, res.witness, profile)
                 assert check.valid and check.colors_used == want
                 for k in (want, want + 1):
-                    assert sigma_threshold(
-                        g, k, profile, edge_limit=None
-                    ) == (want >= k), (g.edges, profile, k)
+                    got = sigma_exact(g, profile, edge_limit=None).sigma
+                    assert (got >= k) == (want >= k), (g.edges, profile, k)
 
 
 def test_pendant_folding_keeps_room_above_capacity_two():
@@ -218,8 +214,8 @@ def test_pendant_folding_keeps_room_above_capacity_two():
     res = sigma_exact(claw, profile, fold_pendants=True)
     assert res.sigma == 3 == dumb_sigma(claw, [3] * 4)
     assert verify_coloring(claw, res.witness, profile).colors_used == 3
-    assert sigma_threshold(claw, 3, profile)
-    assert not sigma_threshold(claw, 4, profile)
+    assert sigma_exact(claw, profile).sigma >= 3
+    assert sigma_exact(claw, profile).sigma < 4
 
 
 def test_color_count_may_exceed_vertex_count():
@@ -253,8 +249,8 @@ def test_pendant_folding_scales_to_a_big_tree():
     res = sigma_exact(tree, edge_limit=None)
     check = verify_coloring(tree, res.witness)
     assert check.valid and check.colors_used == res.sigma
-    assert sigma_threshold(tree, res.sigma, edge_limit=None)
-    assert not sigma_threshold(tree, res.sigma + 1, edge_limit=None)
+    assert sigma_exact(tree, edge_limit=None).sigma >= res.sigma
+    assert sigma_exact(tree, edge_limit=None).sigma < res.sigma + 1
 
 
 def test_many_components_and_a_wide_star():

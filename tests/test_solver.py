@@ -22,7 +22,6 @@ from maxec import (
     Graph,
     SolveStats,
     sigma_exact,
-    sigma_threshold,
     solve_exact,
     verify_coloring,
 )
@@ -46,7 +45,7 @@ PATH5 = Graph(5, [(i, i + 1) for i in range(4)])
 
 def _assert_agrees(g, k):
     res = solve_exact(g, k)
-    want = sigma_threshold(g, k, edge_limit=None)
+    want = sigma_exact(g, edge_limit=None).sigma >= k
     assert res.yes == want, f"n={g.n} edges={g.edges} k={k}"
     if res.yes:
         check = verify_coloring(g, res.witness)
@@ -252,14 +251,14 @@ class TestCheckTop:
         cov = _cover(g, {0: {0, 1}, 1: {0, 1}}, 2)
         assert _across(cov, SolveStats()) is None
 
-    def test_unsupported_budget_color_is_never_tried(self):
-        # the edge allows only color 0, so nothing can show color 1 and the
-        # palette fails before any branch or matching
+    def test_unsupported_budget_color_fails_the_final_matching(self):
+        # the edge allows only color 0, so nothing offers color 1: the one
+        # final matching leaves it unmatched, with no branch before it
         g = Graph(2, [(0, 1)])
         cov = _cover(g, {0: {0}, 1: {0}}, 2)
         stats = SolveStats()
         assert _across(cov, stats) is None
-        assert stats == SolveStats()
+        assert stats == SolveStats(x_guesses=1)
 
     def test_path_shows_both_colors(self):
         # path inside the cover: edges (0,1) and (1,2) share vertex 1
@@ -346,21 +345,6 @@ class TestPaletteSearch:
                 assert check.colors_used == k, where
             checked += 1
         assert checked > 10000
-
-    def test_rejects_uncoverable_palettes_before_any_work(self):
-        # palettes where some color has nowhere to show; the enumeration's
-        # closing rule never yields one, and _across turns them away on its
-        # own, with no branch or matching counted
-        checked = 0
-        for g, cover, k, cov in _reference_palettes():
-            if ref_coverable(g, cover, dict(zip(cover, cov.tau)), k):
-                continue
-            stats = SolveStats()
-            where = f"edges={g.edges} cover={cover} k={k} tau={cov.tau}"
-            assert _across(cov, stats) is None, where
-            assert stats == SolveStats(), where
-            checked += 1
-        assert checked > 5000
 
 
 class TestBranchDiscipline:
@@ -460,7 +444,7 @@ class TestMemoizedSearch:
         assert checked > 1000
 
     def test_cover_tables_match_rebuild(self):
-        fields = ("lists", "gee", "bee", "shown", "coverage", "allowed_full")
+        fields = ("lists", "gee", "bee", "shown", "allowed_full")
         sampled = 0
         for g in connected_graphs_upto(6):
             cover = _matching_cover(g)
@@ -473,26 +457,32 @@ class TestMemoizedSearch:
                     cov = _Cover(tables, tau, k, cache)
                     want = ref_cover_fields(g, cover, dict(zip(cover, tau)), k)
                     assert not want.pop("dead"), f"edges={g.edges} tau={tau}"
+                    del want["coverage"]
                     got = {name: getattr(cov, name) for name in fields}
                     assert got == want, f"edges={g.edges} k={k} tau={tau}"
                     sampled += 1
         assert sampled > 300
 
     def test_enumeration_never_yields_a_dead_palette(self):
-        # _Cover assumes every cut vertex has a candidate; the rebuild
-        # from the graph checks each yielded palette for one without, on
-        # every small graph and on seeded 7-vertex draws
+        # _Cover assumes every cut vertex has a candidate, and _across
+        # relies on every color having somewhere to show; the rebuild from
+        # the graph checks each yielded palette for both, over the matched
+        # and the minimum cover, on every small graph and on seeded
+        # 7-vertex draws
         draws = (gen_random(7, 0.25, seed) for seed in range(60))
         checked = 0
         for g in itertools.chain(connected_graphs_upto(6), (
                 g for g in draws if g.m and len(maximal_matching(g)) <= 3)):
-            cover = _matching_cover(g)
-            for k in range(2, g.n + 1):
+            matched = _matching_cover(g)
+            for cover in dict.fromkeys((matched, _min_cover(g, matched))):
                 tables = _Tables(g, cover)
-                for tau in _enum_tau_masks(tables, k, _CandidateCache()):
-                    want = ref_cover_fields(g, cover, dict(zip(cover, tau)), k)
-                    assert not want["dead"], f"edges={g.edges} k={k} tau={tau}"
-                    checked += 1
+                for k in range(2, g.n + 1):
+                    for tau in _enum_tau_masks(tables, k, _CandidateCache()):
+                        masks = dict(zip(cover, tau))
+                        where = f"edges={g.edges} cover={cover} k={k} tau={tau}"
+                        assert not ref_cover_fields(g, cover, masks, k)["dead"], where
+                        assert ref_coverable(g, cover, masks, k), where
+                        checked += 1
         assert checked > 1000
 
 
