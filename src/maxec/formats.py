@@ -15,9 +15,18 @@ Annotated instances append per-vertex capacity lines to a graph document::
 
     f <vertex> <1|2>   (one line per vertex)
 
-Emitted documents are canonical: vertices 1-based, edge lines in edge-id
-order with the smaller endpoint first. Parsing is strict about structure but
-accepts edge endpoints in either order.
+A line whose first field is exactly ``c`` is a comment. Emitted documents
+are canonical: vertices 1-based, edge lines in edge-id order with the
+smaller endpoint first. Parsing is strict about structure but accepts edge
+endpoints in either order.
+
+All loaders read through one tokenizer, ``_lines``, and the two graph
+loaders (``load_instance`` and ``generators.load_mcis``) through one pass,
+``_read_graph``. ``Graph`` is the one edge validator: the pass collects
+0-based pairs and their line numbers, and reports a bad pair's
+``GraphError`` on that pair's line. Of several faults, the first line wrong
+on its own is reported, else the first ``e`` line ``Graph`` rejects, else a
+whole-document fault (no line number).
 """
 
 from __future__ import annotations
@@ -54,50 +63,13 @@ def load_instance(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     Returns the graph and the per-vertex capacity table (or None when the
     document has no ``f`` lines). When present, the table must be total.
     """
-    n = m = None
-    edges: list[tuple[int, int]] = []
-    edge_lines: set[tuple[int, int]] = set()
-    caps: dict[int, int] = {}
-    for lineno, line, fields in _lines(text):
-        if fields[0] == "p":
-            if n is not None:
-                raise FormatError(lineno, "duplicate problem line")
-            if len(fields) != 4 or fields[1] != "edge":
-                raise FormatError(lineno, f"malformed problem line {line!r}")
-            n, m = _int(fields[2], lineno), _int(fields[3], lineno)
-            if n < 0 or m < 0:
-                raise FormatError(lineno, "negative counts in problem line")
-        elif fields[0] == "e":
-            edges.append(_edge(lineno, line, fields, n, edge_lines))
-        elif fields[0] == "f":
-            if n is None:
-                raise FormatError(lineno, "capacity line before problem line")
-            if len(fields) != 3:
-                raise FormatError(lineno, f"malformed capacity line {line!r}")
-            v, cap = _int(fields[1], lineno), _int(fields[2], lineno)
-            if not 1 <= v <= n:
-                raise FormatError(lineno, f"vertex id out of range in {line!r}")
-            if cap not in (1, 2):
-                raise FormatError(lineno, "capacity must be 1 or 2")
-            if v - 1 in caps:
-                raise FormatError(lineno, f"duplicate capacity for vertex {v}")
-            caps[v - 1] = cap
-        else:
-            raise FormatError(lineno, f"unrecognized line {line!r}")
-    if n is None:
-        raise FormatError(None, "missing problem line")
-    if len(edges) != m:
-        raise FormatError(None, f"problem line declares {m} edges, found {len(edges)}")
-    try:
-        g = Graph(n, edges)
-    except GraphError as exc:
-        raise FormatError(None, str(exc)) from exc
+    g, _, caps = _read_graph(text, "edge", 2, "f", "capacity", lambda counts: 2)
     if not caps:
         return g, None
-    if len(caps) != n:
-        missing = sorted(set(range(n)) - set(caps))[0]
+    if len(caps) != g.n:
+        missing = sorted(set(range(g.n)) - set(caps))[0]
         raise FormatError(None, f"missing capacity for vertex {missing + 1}")
-    return g, tuple(caps[v] for v in range(n))
+    return g, tuple(caps[v] for v in range(g.n))
 
 
 def render_annotated(g: Graph, f, comments=()) -> str:
@@ -121,34 +93,36 @@ def render_coloring(g: Graph, coloring: EdgeColoring) -> str:
 def load_coloring(text: str, g: Graph) -> EdgeColoring:
     k = None
     assigned: dict[int, int] = {}
-    for lineno, line, fields in _lines(text):
-        if fields[0] == "s":
-            if k is not None:
-                raise FormatError(lineno, "duplicate solution line")
-            if len(fields) != 3 or fields[1] != "coloring":
-                raise FormatError(lineno, f"malformed solution line {line!r}")
-            k = _int(fields[2], lineno)
-            if k < 0:
-                raise FormatError(lineno, "negative color count")
-        elif fields[0] == "l":
+    index = g._index
+    for lineno, fields in _lines(text):
+        head = fields[0]
+        if head == "l":
             if k is None:
                 raise FormatError(lineno, "label line before solution line")
             if len(fields) != 4:
-                raise FormatError(lineno, f"malformed label line {line!r}")
+                raise FormatError(lineno, f"malformed label line {_line(text, lineno)!r}")
             u, v = _int(fields[1], lineno), _int(fields[2], lineno)
             color = _int(fields[3], lineno)
-            if not (1 <= u <= g.n and 1 <= v <= g.n):
-                raise FormatError(lineno, f"vertex id out of range in {line!r}")
-            if not g.has_edge(u - 1, v - 1):
+            eid = index.get((u - 1, v - 1) if u < v else (v - 1, u - 1))
+            if eid is None:
+                if not (1 <= u <= g.n and 1 <= v <= g.n):
+                    raise FormatError(lineno, f"vertex id out of range in {_line(text, lineno)!r}")
                 raise FormatError(lineno, f"no such edge ({u}, {v})")
             if not 1 <= color <= k:
                 raise FormatError(lineno, f"color {color} outside 1..{k}")
-            eid = g.edge_id(u - 1, v - 1)
             if eid in assigned:
                 raise FormatError(lineno, f"edge ({u}, {v}) colored twice")
             assigned[eid] = color - 1
+        elif head == "s":
+            if k is not None:
+                raise FormatError(lineno, "duplicate solution line")
+            if len(fields) != 3 or fields[1] != "coloring":
+                raise FormatError(lineno, f"malformed solution line {_line(text, lineno)!r}")
+            k = _int(fields[2], lineno)
+            if k < 0:
+                raise FormatError(lineno, "negative color count")
         else:
-            raise FormatError(lineno, f"unrecognized line {line!r}")
+            raise FormatError(lineno, f"unrecognized line {_line(text, lineno)!r}")
     if k is None:
         raise FormatError(None, "missing solution line")
     if len(assigned) != g.m:
@@ -162,13 +136,17 @@ def load_coloring(text: str, g: Graph) -> EdgeColoring:
 
 
 def _lines(text: str):
-    """Yield ``(lineno, line, fields)`` for every line that is neither blank
-    nor a comment; ``lineno`` is 1-based and ``line`` is stripped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        yield lineno, line, line.split()
+    """Yield ``(lineno, fields)`` for every line that is neither blank nor a
+    comment (first field exactly ``c``); ``lineno`` is 1-based."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and fields[0] != "c":
+            yield lineno, fields
+
+
+def _line(text: str, lineno: int) -> str:
+    """Line ``lineno`` of ``text`` as written, stripped; for error messages."""
+    return text.splitlines()[lineno - 1].strip()
 
 
 def _int(token: str, lineno: int) -> int:
@@ -178,22 +156,54 @@ def _int(token: str, lineno: int) -> int:
         raise FormatError(lineno, f"expected integer, got {token!r}") from None
 
 
-def _edge(lineno: int, line: str, fields, n: int | None,
-          seen: set[tuple[int, int]]) -> tuple[int, int]:
-    """Check an ``e <u> <v>`` line against the declared vertex count n
-    (None before the problem line) and the edges in ``seen``, which it
-    extends; returns the 0-based endpoints."""
-    if n is None:
-        raise FormatError(lineno, "edge line before problem line")
-    if len(fields) != 3:
-        raise FormatError(lineno, f"malformed edge line {line!r}")
-    u, v = _int(fields[1], lineno), _int(fields[2], lineno)
-    if not (1 <= u <= n and 1 <= v <= n):
-        raise FormatError(lineno, f"vertex id out of range in {line!r}")
-    if u == v:
-        raise FormatError(lineno, f"self-loop at vertex {u}")
-    key = (min(u, v), max(u, v))
-    if key in seen:
-        raise FormatError(lineno, f"duplicate edge ({key[0]}, {key[1]})")
-    seen.add(key)
-    return u - 1, v - 1
+def _read_graph(text: str, kind: str, width: int, tag: str, what: str, top):
+    """One pass over a ``p <kind>`` document with ``width`` counts (n and m
+    first), ``e`` lines, and at most one ``<tag> <vertex> <value>`` line per
+    vertex with the value in ``1..top(counts)``; ``what`` names those lines
+    in messages. Returns the graph, the counts and {vertex: value}."""
+    counts = None
+    pairs: list[tuple[int, int]] = []
+    linenos: list[int] = []
+    values: dict[int, int] = {}
+    for lineno, fields in _lines(text):
+        head = fields[0]
+        if head == "e":
+            if counts is None:
+                raise FormatError(lineno, "edge line before problem line")
+            if len(fields) != 3:
+                raise FormatError(lineno, f"malformed edge line {_line(text, lineno)!r}")
+            pairs.append((_int(fields[1], lineno) - 1, _int(fields[2], lineno) - 1))
+            linenos.append(lineno)
+        elif head == "p":
+            if counts is not None:
+                raise FormatError(lineno, "duplicate problem line")
+            if len(fields) != width + 2 or fields[1] != kind:
+                raise FormatError(lineno, f"malformed problem line {_line(text, lineno)!r}")
+            counts = [_int(token, lineno) for token in fields[2:]]
+            if min(counts) < 0:
+                raise FormatError(lineno, "negative counts in problem line")
+        elif head == tag:
+            if counts is None:
+                raise FormatError(lineno, f"{what} line before problem line")
+            if len(fields) != 3:
+                raise FormatError(lineno, f"malformed {what} line {_line(text, lineno)!r}")
+            v, value = _int(fields[1], lineno), _int(fields[2], lineno)
+            if not 1 <= v <= counts[0]:
+                raise FormatError(lineno, f"vertex id out of range in {_line(text, lineno)!r}")
+            if not 1 <= value <= top(counts):
+                raise FormatError(lineno, f"{what} out of range in {_line(text, lineno)!r}")
+            if v - 1 in values:
+                raise FormatError(lineno, f"duplicate {what} line for vertex {v}")
+            values[v - 1] = value
+        else:
+            raise FormatError(lineno, f"unrecognized line {_line(text, lineno)!r}")
+    if counts is None:
+        raise FormatError(None, "missing problem line")
+    try:
+        g = Graph(counts[0], pairs)
+    except GraphError as exc:  # counts are nonnegative, so a pair is at fault
+        lineno = linenos[exc.pos]
+        raise FormatError(lineno, f"{exc.reason} in {_line(text, lineno)!r}") from exc
+    if g.m != counts[1]:
+        raise FormatError(None, f"problem line declares {counts[1]} edges, found {g.m}")
+    return g, counts, values

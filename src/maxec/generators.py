@@ -18,8 +18,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .formats import FormatError, _edge, _int, _lines
-from .graphs import Graph, GraphError, ValidityProfile
+from .formats import FormatError, _read_graph
+from .graphs import Graph, ValidityProfile
 from .kernels import has_c4
 
 
@@ -215,52 +215,18 @@ def load_mcis(text: str) -> MCISInstance:
 
     Expected lines: one ``p mcis <n> <m> <k>`` problem line, one
     ``v <vertex> <class>`` line per vertex, and ``e <u> <v>`` edge lines,
-    all 1-based. Comment lines start with ``c``.
+    all 1-based. Comment lines have ``c`` as their first field.
     """
-    header: tuple[int, int, int] | None = None
-    labels: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    edge_lines: set[tuple[int, int]] = set()
-    for lineno, line, fields in _lines(text):
-        if fields[0] == "p":
-            if header is not None:
-                raise FormatError(lineno, "duplicate problem line")
-            if len(fields) != 5 or fields[1] != "mcis":
-                raise FormatError(lineno, f"malformed problem line {line!r}")
-            n, m, k = (_int(tok, lineno) for tok in fields[2:])
-            if n < 0 or m < 0 or k < 0:
-                raise FormatError(lineno, "negative counts in problem line")
-            header = (n, m, k)
-        elif fields[0] == "v":
-            if header is None:
-                raise FormatError(lineno, "class line before problem line")
-            if len(fields) != 3:
-                raise FormatError(lineno, f"malformed class line {line!r}")
-            v, c = _int(fields[1], lineno), _int(fields[2], lineno)
-            if not 1 <= v <= header[0]:
-                raise FormatError(lineno, f"vertex id out of range in {line!r}")
-            if not 1 <= c <= header[2]:
-                raise FormatError(lineno, f"class id out of range in {line!r}")
-            if v - 1 in labels:
-                raise FormatError(lineno, f"duplicate class line for vertex {v}")
-            labels[v - 1] = c - 1
-        elif fields[0] == "e":
-            n = None if header is None else header[0]
-            edges.append(_edge(lineno, line, fields, n, edge_lines))
-        else:
-            raise FormatError(lineno, f"unrecognized line {line!r}")
-    if header is None:
-        raise FormatError(None, "missing problem line")
-    n, m, k = header
-    if len(edges) != m:
-        raise FormatError(None, f"problem line declares {m} edges, found {len(edges)}")
+    g, (n, _, k), labels = _read_graph(
+        text, "mcis", 3, "v", "class", lambda counts: counts[2]
+    )
     if len(labels) != n:
         missing = sorted(set(range(n)) - set(labels))[0]
         raise FormatError(None, f"missing class line for vertex {missing + 1}")
     parts = tuple(
-        tuple(v for v in range(n) if labels[v] == i) for i in range(k)
+        tuple(v for v in range(n) if labels[v] == i + 1) for i in range(k)
     )
     try:
-        return MCISInstance(Graph(n, edges), parts)
-    except (GraphError, ValueError) as exc:
+        return MCISInstance(g, parts)
+    except ValueError as exc:
         raise FormatError(None, str(exc)) from exc

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 
 class GraphError(ValueError):
-    """Structurally invalid graph data: self-loop, duplicate edge, bad id."""
+    """Structurally invalid graph data: self-loop, duplicate edge, bad id.
+
+    For a bad input pair, ``pos`` is its position in the edge input and
+    ``reason`` names the fault without the pair; otherwise ``pos`` is None.
+    """
+
+    def __init__(self, reason: str, pair=None, pos: int | None = None):
+        super().__init__(reason if pair is None else f"{reason}: edge {pos} {tuple(pair)!r}")
+        self.reason, self.pos = reason, pos
 
 
 class Graph:
@@ -45,14 +53,14 @@ class Graph:
         for pair in edges:
             u, v = pair
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"vertex id out of range in edge {tuple(pair)!r}")
+                raise GraphError("vertex id out of range", pair, len(index))
             if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
+                raise GraphError("self-loop", pair, len(index))
             if u > v:
                 u, v = v, u
             eid = len(index)
             if index.setdefault((u, v), eid) != eid:
-                raise GraphError(f"duplicate edge ({u}, {v})")
+                raise GraphError("duplicate edge", pair, eid)
             adj[u].append((eid, v))
             adj[v].append((eid, u))
         self.edges = tuple(index)

@@ -151,10 +151,14 @@ def has_c4(g: Graph):
 
     Two vertices with two common neighbors close a 4-cycle, so the scan
     records, per nonadjacent-or-adjacent pair, the first middle vertex.
+    Degree-1 vertices are skipped: a 4-cycle has none, and a pair with one
+    has a single middle vertex, so it never repeats and the result is the
+    one the unfiltered scan returns.
     """
+    adj = g.adj
     seen: dict[tuple[int, int], int] = {}
     for w in range(g.n):
-        nbrs = g.neighbors(w)
+        nbrs = [a for _, a in adj[w] if len(adj[a]) > 1]
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1:]:
                 key = (a, b) if a < b else (b, a)

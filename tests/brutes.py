@@ -10,13 +10,17 @@ The one exception is ``ref_palette_search``, which feeds the reference palette
 enumeration into the solver's own per-palette search, so that a test can
 compare the memoized enumeration alone against it; ``ref_palette_feasible``
 checks that per-palette search on its own.
+The reference loaders (``ref_load_instance``, ``ref_load_coloring``) and
+``ref_has_c4`` are the package's earlier per-line parsers and unfiltered
+four-cycle scan, kept to pin the faster versions to the same answers.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from maxec import Graph, SolveStats
+from maxec import EdgeColoring, Graph, GraphError, SolveStats
+from maxec.formats import FormatError
 from maxec.solver import _across, _assemble, _CandidateCache, _Cover, _Tables
 
 
@@ -412,3 +416,157 @@ def ref_max_bipartite_matching(bg) -> dict:
     for a in bg.left:
         augment(a, set())
     return {a: b for b, a in match_right.items()}
+
+
+def ref_load_instance(text: str) -> tuple[Graph, tuple[int, ...] | None]:
+    """The per-line graph loader that ``formats.load_instance`` replaced:
+    every ``e`` line is checked on its own line (``_ref_edge``) before
+    ``Graph`` sees it, and only ``c`` followed by a space opens a comment.
+
+    Returns the graph and the per-vertex capacity table (or None when the
+    document has no ``f`` lines). When present, the table must be total.
+    """
+    n = m = None
+    edges: list[tuple[int, int]] = []
+    edge_lines: set[tuple[int, int]] = set()
+    caps: dict[int, int] = {}
+    for lineno, line, fields in _ref_lines(text):
+        if fields[0] == "p":
+            if n is not None:
+                raise FormatError(lineno, "duplicate problem line")
+            if len(fields) != 4 or fields[1] != "edge":
+                raise FormatError(lineno, f"malformed problem line {line!r}")
+            n, m = _ref_int(fields[2], lineno), _ref_int(fields[3], lineno)
+            if n < 0 or m < 0:
+                raise FormatError(lineno, "negative counts in problem line")
+        elif fields[0] == "e":
+            edges.append(_ref_edge(lineno, line, fields, n, edge_lines))
+        elif fields[0] == "f":
+            if n is None:
+                raise FormatError(lineno, "capacity line before problem line")
+            if len(fields) != 3:
+                raise FormatError(lineno, f"malformed capacity line {line!r}")
+            v, cap = _ref_int(fields[1], lineno), _ref_int(fields[2], lineno)
+            if not 1 <= v <= n:
+                raise FormatError(lineno, f"vertex id out of range in {line!r}")
+            if cap not in (1, 2):
+                raise FormatError(lineno, "capacity must be 1 or 2")
+            if v - 1 in caps:
+                raise FormatError(lineno, f"duplicate capacity for vertex {v}")
+            caps[v - 1] = cap
+        else:
+            raise FormatError(lineno, f"unrecognized line {line!r}")
+    if n is None:
+        raise FormatError(None, "missing problem line")
+    if len(edges) != m:
+        raise FormatError(None, f"problem line declares {m} edges, found {len(edges)}")
+    try:
+        g = Graph(n, edges)
+    except GraphError as exc:
+        raise FormatError(None, str(exc)) from exc
+    if not caps:
+        return g, None
+    if len(caps) != n:
+        missing = sorted(set(range(n)) - set(caps))[0]
+        raise FormatError(None, f"missing capacity for vertex {missing + 1}")
+    return g, tuple(caps[v] for v in range(n))
+
+
+def ref_load_coloring(text: str, g: Graph) -> EdgeColoring:
+    """The per-line coloring loader that ``formats.load_coloring`` replaced,
+    with its two edge lookups per ``l`` line."""
+    k = None
+    assigned: dict[int, int] = {}
+    for lineno, line, fields in _ref_lines(text):
+        if fields[0] == "s":
+            if k is not None:
+                raise FormatError(lineno, "duplicate solution line")
+            if len(fields) != 3 or fields[1] != "coloring":
+                raise FormatError(lineno, f"malformed solution line {line!r}")
+            k = _ref_int(fields[2], lineno)
+            if k < 0:
+                raise FormatError(lineno, "negative color count")
+        elif fields[0] == "l":
+            if k is None:
+                raise FormatError(lineno, "label line before solution line")
+            if len(fields) != 4:
+                raise FormatError(lineno, f"malformed label line {line!r}")
+            u, v = _ref_int(fields[1], lineno), _ref_int(fields[2], lineno)
+            color = _ref_int(fields[3], lineno)
+            if not (1 <= u <= g.n and 1 <= v <= g.n):
+                raise FormatError(lineno, f"vertex id out of range in {line!r}")
+            if not g.has_edge(u - 1, v - 1):
+                raise FormatError(lineno, f"no such edge ({u}, {v})")
+            if not 1 <= color <= k:
+                raise FormatError(lineno, f"color {color} outside 1..{k}")
+            eid = g.edge_id(u - 1, v - 1)
+            if eid in assigned:
+                raise FormatError(lineno, f"edge ({u}, {v}) colored twice")
+            assigned[eid] = color - 1
+        else:
+            raise FormatError(lineno, f"unrecognized line {line!r}")
+    if k is None:
+        raise FormatError(None, "missing solution line")
+    if len(assigned) != g.m:
+        raise FormatError(None, f"{g.m - len(assigned)} edges left uncolored")
+    colors = [assigned[eid] for eid in range(g.m)]
+    used = set(colors)
+    if len(used) != k:
+        unused = sorted(set(range(k)) - used)[0]
+        raise FormatError(None, f"color {unused + 1} is declared but never used")
+    return EdgeColoring(colors)
+
+
+def _ref_lines(text: str):
+    """Yield ``(lineno, line, fields)`` for every line that is neither blank
+    nor a comment; ``lineno`` is 1-based and ``line`` is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line == "c" or line.startswith("c "):
+            continue
+        yield lineno, line, line.split()
+
+
+def _ref_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(lineno, f"expected integer, got {token!r}") from None
+
+
+def _ref_edge(lineno: int, line: str, fields, n: int | None,
+              seen: set[tuple[int, int]]) -> tuple[int, int]:
+    """Check an ``e <u> <v>`` line against the declared vertex count n
+    (None before the problem line) and the edges in ``seen``, which it
+    extends; returns the 0-based endpoints."""
+    if n is None:
+        raise FormatError(lineno, "edge line before problem line")
+    if len(fields) != 3:
+        raise FormatError(lineno, f"malformed edge line {line!r}")
+    u, v = _ref_int(fields[1], lineno), _ref_int(fields[2], lineno)
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise FormatError(lineno, f"vertex id out of range in {line!r}")
+    if u == v:
+        raise FormatError(lineno, f"self-loop at vertex {u}")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise FormatError(lineno, f"duplicate edge ({key[0]}, {key[1]})")
+    seen.add(key)
+    return u - 1, v - 1
+
+
+def ref_has_c4(g: Graph):
+    """Some 4-cycle ``(a, w1, b, w2)`` in cycle order, or None: the
+    unfiltered scan that ``kernels.has_c4`` replaced. It records, per pair
+    of neighbors of every vertex, the first middle vertex, degree-1
+    neighbors included."""
+    seen: dict[tuple[int, int], int] = {}
+    for w in range(g.n):
+        nbrs = g.neighbors(w)
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1:]:
+                key = (a, b) if a < b else (b, a)
+                if key in seen:
+                    return (key[0], seen[key], key[1], w)
+                seen[key] = w
+    return None

@@ -1,14 +1,24 @@
 """Command line behavior, exercised in process through run()."""
 
+import contextlib
 import io
 
 import pytest
+from hypothesis import given, settings
 
 from maxec.cli import _build_parser, run
-from maxec.formats import load_coloring, load_graph, load_instance, render_annotated, render_graph
+from maxec.formats import (
+    FormatError,
+    load_coloring,
+    load_graph,
+    load_instance,
+    render_annotated,
+    render_graph,
+)
 from maxec.generators import MCISInstance, gen_random, render_mcis
 from maxec.graphs import Graph, ValidityProfile, verify_coloring
 from maxec.oracle import sigma_exact
+from test_formats import documents
 
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
 SQUARE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -452,3 +462,43 @@ class TestUsage:
         code, _, err = cli("solve", "--k", "1", stdin="p edge two 1\ne 1 2\n")
         assert code == 2
         assert err.startswith("error:")
+
+
+def _fault(load, *args):
+    try:
+        load(*args)
+    except FormatError as exc:
+        return exc
+    return None
+
+
+class TestMalformedDocuments:
+    """The reference test's documents, faulty or not, through the commands
+    that load them: a rejected document exits 2 with the loader's message."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=documents())
+    def test_rejected_documents_exit_2_with_their_line(self, workdir, doc):
+        _, g, _, _, graph_text, coloring_text, _ = doc
+        graph, colored = workdir / "g.gr", workdir / "g.col"
+        graph.write_text(graph_text)
+        colored.write_text(coloring_text)
+        graph_fault = _fault(load_instance, graph_text)
+        coloring_fault = _fault(load_coloring, coloring_text, g)
+        k = str(max(2, g.m))
+        for argv, fault in (
+            (["solve", "--k", k, str(graph)], graph_fault),
+            (["sigma", "--edge-limit", "0", str(graph)], graph_fault),
+            (["kernel", "--rule", "standard", "--k", k, str(graph)], graph_fault),
+            (["verify", str(graph), str(colored)], graph_fault or coloring_fault),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code != 4, (argv, err.getvalue())
+            if fault is not None:
+                assert (code, err.getvalue()) == (2, f"error: {fault}\n")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from brutes import ref_kernelize_dual
+from brutes import graphs, ref_has_c4, ref_kernelize_dual
 from maxec import (
     EdgeColoring,
     ForcedNo,
@@ -272,6 +272,19 @@ class TestFourCycleDetection:
     def test_bipartite_doubled_star(self):
         g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         assert has_c4(g) is not None
+
+    def test_matches_the_unfiltered_scan_everywhere(self):
+        found = 0
+        for n in range(7):
+            for g in graphs(n):
+                cycle = has_c4(g)
+                assert cycle == ref_has_c4(g)
+                if cycle is not None:
+                    found += 1
+                    assert len(set(cycle)) == 4
+                    for i in range(4):
+                        assert g.has_edge(cycle[i], cycle[(i + 1) % 4])
+        assert found > 0
 
 
 class TestC4FreeKernel:
