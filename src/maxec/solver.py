@@ -8,7 +8,7 @@ vertex has all its neighbors in S. The search guesses a palette
 assignment tau giving each cover vertex its final color set (size 1 or 2).
 For a fixed tau, a witness is one allowed color per cover edge (a color of
 both end palettes) and one candidate color set per cut vertex that
-together show all k colors. ``_across`` finds one or proves there is none:
+together show all k colors. ``_settle`` finds one or proves there is none:
 colors every choice shows come off first, flexible cut vertices are
 settled by forcing and bounded branching, and a final bipartite matching
 between the leftover colors and the other providers (cover edges and
@@ -20,13 +20,13 @@ Color sets are bitmasks throughout, bit c standing for color c.
 Each solve does a piece of work once. What depends only on the graph and
 the cover (cover edges, cut vertices, each cut vertex's neighbors, the
 order constraints of the enumeration) is built once per solve in
-``_Tables``; ``_Cover`` then computes only what a palette changes: the
+``_Tables``; ``_settle`` then computes only what a palette changes: the
 allowed colors per cover edge and the candidate lists. The choices at an
 enumeration node depend only on (introduced colors, pending pairs, colors
 still allowed in), so ``_options`` builds each list once per process.
 Candidate lists come from one routine, ``_candidates``, whose results the
-enumeration and ``_Cover`` share through a ``_CandidateCache`` that each
-solve creates and drops.
+enumeration and ``_settle`` share through the memo ``_Tables.cands``,
+which lives as long as the solve.
 
 Key facts the implementation leans on (each argued where used):
 
@@ -57,7 +57,7 @@ Key facts the implementation leans on (each argued where used):
 * a color can only appear on a cover edge whose two palettes hold it or
   in a candidate set of a cut vertex, so a palette whose cover edges and
   candidates miss a color has no witness; nothing offers that color, so
-  it stays in ``_across``'s leftover and the final matching rejects the
+  it stays in ``_settle``'s leftover and the final matching rejects the
   palette;
 * every enumerated palette gives every cut vertex a candidate: a prefix is
   dropped as soon as a cut vertex whose neighbors all lie in it has none,
@@ -154,7 +154,7 @@ def _candidates(masks: tuple[int, ...]) -> tuple[int, ...]:
 
 class _CandidateCache(dict):
     """``_candidates`` results keyed by the tuple of neighbor masks, each
-    computed on first use. A solve owns one; nothing outlives the solve."""
+    computed on first use."""
 
     def __missing__(self, masks: tuple[int, ...]) -> tuple[int, ...]:
         cands = self[masks] = _candidates(masks)
@@ -172,16 +172,22 @@ class _Tables:
     ``closes_at[p]`` lists the cover positions that close at p, each as
     (position, its cover neighbors, the ``cut_nbrs`` entries of its cut
     neighbors): p is the last of the position itself, its cover neighbors
-    and every neighbor of its cut neighbors."""
+    and every neighbor of its cut neighbors. ``cands`` is the solve's
+    candidate memo, shared by the enumeration and ``_settle``; it lives and
+    dies with the solve because its keys, tuples of neighbor palettes, grow
+    with the instance: 2,126 distinct keys over the 91,441 questions of
+    ``tests/differential.py``, 9,136 over just 32 questions on graphs with
+    6-9-vertex minimum covers."""
 
     __slots__ = (
         "order", "s_edges", "s_pos", "cut_vertices", "cut_nbrs", "earlier",
-        "ready_at", "closes_at",
+        "ready_at", "closes_at", "cands",
     )
 
     def __init__(self, g: Graph, order: tuple[int, ...]):
         index = {v: i for i, v in enumerate(order)}
         self.order = order
+        self.cands = _CandidateCache()
         self.s_edges = []
         self.s_pos = []
         for eid, (u, v) in enumerate(g.edges):
@@ -251,7 +257,7 @@ def _options(t: int, pending: tuple, room: int) -> tuple:
     return tuple(out)
 
 
-def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
+def _enum_tau_masks(tables: _Tables, k: int):
     """All palette assignments on the cover, one per color-relabeling orbit,
     as tuples of color masks parallel to ``tables.order``.
 
@@ -281,6 +287,7 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
     earlier = tables.earlier
     ready_at = tables.ready_at
     closes_at = tables.closes_at
+    cands = tables.cands
     sets = [0] * size
 
     def shows(v: int, mates, cuts) -> bool:
@@ -293,7 +300,7 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
                 hits += 1
         for nbrs in cuts:
             o = 0
-            for c in cache[tuple([sets[i] for i in nbrs])]:
+            for c in cands[tuple([sets[i] for i in nbrs])]:
                 o |= c
             o &= y
             if o:
@@ -321,7 +328,7 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
             else:
                 sets[p] = y
                 for nbrs in ready:
-                    if not cache[tuple([sets[i] for i in nbrs])]:
+                    if not cands[tuple([sets[i] for i in nbrs])]:
                         break
                 else:
                     for v, mates, cuts in closing:
@@ -331,43 +338,6 @@ def _enum_tau_masks(tables: _Tables, k: int, cache: _CandidateCache):
                         yield from rec(p + 1, t2, pending2)
 
     yield from rec(0, 0, ())
-
-
-class _Cover:
-    """Per-palette tables: the allowed colors of every cover edge and the
-    candidate lists of every cut vertex, on top of the per-solve
-    ``_Tables``; ``tau`` holds the palette masks parallel to
-    ``tables.order``, as yielded by ``_enum_tau_masks``, so every cut
-    vertex has a candidate. ``shown`` holds the colors every choice shows."""
-
-    __slots__ = (
-        "full", "tables", "tau", "allowed_full", "lists", "gee", "bee", "shown",
-    )
-
-    def __init__(self, tables: _Tables, tau: tuple[int, ...], k: int,
-                 cache: _CandidateCache):
-        self.full = (1 << k) - 1
-        self.tables = tables
-        self.tau = tau
-        self.allowed_full = [tau[i] & tau[j] for i, j in tables.s_pos]
-        self.lists = {}
-        self.gee = []
-        self.bee = []
-        self.shown = 0
-        for u, nbrs in zip(tables.cut_vertices, tables.cut_nbrs):
-            cands = cache[tuple([tau[i] for i in nbrs])]
-            self.lists[u] = cands
-            if len(cands) == 1:
-                self.shown |= cands[0]
-                continue
-            common = cands[0]
-            for y in cands[1:]:
-                common &= y
-            if common:
-                self.shown |= common
-                self.gee.append(u)
-            else:
-                self.bee.append(u)
 
 
 def _best_hits(cands: tuple[int, ...], r: int) -> list[int]:
@@ -386,12 +356,15 @@ def _best_hits(cands: tuple[int, ...], r: int) -> list[int]:
     ]
 
 
-def _across(cov: _Cover, stats: SolveStats):
+def _settle(g: Graph, tables: _Tables, tau: tuple[int, ...], k: int,
+            stats: SolveStats) -> list[int] | None:
     """Decide one palette: an allowed color per cover edge and a candidate
     per cut vertex that together show all k colors.
 
-    Returns (colors parallel to ``tables.s_edges``, {vertex: candidate
-    mask} for the cut vertices that need a specific candidate), or None.
+    ``tau`` holds the palette masks parallel to ``tables.order``, as yielded
+    by ``_enum_tau_masks``, so every cut vertex has a candidate. Returns the
+    per-edge colors of a witness, or None.
+
     The leftover r starts as the colors not shown by forced or shared-color
     vertices. Flexible vertices with a single best candidate meeting r
     (``_best_hits``) are forced; with several, the search branches over
@@ -401,24 +374,43 @@ def _across(cov: _Cover, stats: SolveStats):
     shared one. So one bipartite matching that saturates r decides the
     rest, and a cover edge left unmatched takes its lowest allowed color.
     """
+    allowed = [tau[i] & tau[j] for i, j in tables.s_pos]
+    lists = {}
+    shared = []
+    flexible = []
+    shown = 0
+    for u, nbrs in zip(tables.cut_vertices, tables.cut_nbrs):
+        cands = lists[u] = tables.cands[tuple([tau[i] for i in nbrs])]
+        if len(cands) == 1:
+            shown |= cands[0]
+            continue
+        common = cands[0]
+        for y in cands[1:]:
+            common &= y
+        if common:
+            shown |= common
+            shared.append(u)
+        else:
+            flexible.append(u)
+
     def rec(r: int, commits: dict[int, int]):
         commits = dict(commits)
         while True:
             changed = False
-            for u in cov.bee:
+            for u in flexible:
                 if u in commits:
                     continue
-                hits = _best_hits(cov.lists[u], r)
+                hits = _best_hits(lists[u], r)
                 if len(hits) == 1:
                     commits[u] = hits[0]
                     r &= ~hits[0]
                     changed = True
             if not changed:
                 break
-        for u in cov.bee:
+        for u in flexible:
             if u in commits:
                 continue
-            hits = _best_hits(cov.lists[u], r)
+            hits = _best_hits(lists[u], r)
             if len(hits) >= 2:
                 if len(hits) > ACROSS_BRANCH_LIMIT:
                     raise AssertionError(
@@ -435,14 +427,14 @@ def _across(cov: _Cover, stats: SolveStats):
                         return res
                 return None
         stats.x_guesses += 1
-        colors = [_low_bit(a) for a in cov.allowed_full]
+        colors = [_low_bit(a) for a in allowed]
         if not r:
             return colors, commits
         # cover edge i is provider ~i, a shared-color vertex is itself
-        offers = [(~i, a) for i, a in enumerate(cov.allowed_full)]
-        for u in cov.gee:
+        offers = [(~i, a) for i, a in enumerate(allowed)]
+        for u in shared:
             offer = 0
-            for y in cov.lists[u]:
+            for y in lists[u]:
                 offer |= y
             offers.append((u, offer))
         left = tuple(_bits(r))
@@ -458,28 +450,27 @@ def _across(cov: _Cover, stats: SolveStats):
             if who < 0:
                 colors[~who] = c
             else:
-                commits[who] = next(y for y in cov.lists[who] if y >> c & 1)
+                commits[who] = next(y for y in lists[who] if y >> c & 1)
         return colors, commits
 
-    return rec(cov.full & ~cov.shown, {})
-
-
-def _assemble(g: Graph, cov: _Cover, assigned, commits: dict[int, int]):
-    """Full per-edge color list from a cover assignment and cut commitments."""
+    found = rec((1 << k) - 1 & ~shown, {})
+    if found is None:
+        return None
+    assigned, commits = found
     colors = [-1] * g.m
-    tau = dict(zip(cov.tables.order, cov.tau))
-    for eid, c in zip(cov.tables.s_edges, assigned):
+    for eid, c in zip(tables.s_edges, assigned):
         colors[eid] = c
-    for u in cov.tables.cut_vertices:
-        y = commits.get(u, cov.lists[u][0])
+    pal = dict(zip(tables.order, tau))
+    for u in tables.cut_vertices:
+        y = commits.get(u, lists[u][0])
         members = list(_bits(y))
         if len(members) == 1:
             for eid, _ in g.adj[u]:
                 colors[eid] = members[0]
             continue
         a, b = members
-        awits = [v for _, v in g.adj[u] if tau[v] >> a & 1]
-        bwits = [v for _, v in g.adj[u] if tau[v] >> b & 1]
+        awits = [v for _, v in g.adj[u] if pal[v] >> a & 1]
+        bwits = [v for _, v in g.adj[u] if pal[v] >> b & 1]
         # two distinct witness edges exist: every neighbor witnesses a or b
         if awits[0] != bwits[0]:
             va, vb = awits[0], bwits[0]
@@ -495,7 +486,7 @@ def _assemble(g: Graph, cov: _Cover, assigned, commits: dict[int, int]):
             elif v == vb:
                 colors[eid] = b
             else:
-                colors[eid] = _low_bit(y & tau[v])
+                colors[eid] = _low_bit(y & pal[v])
     return colors
 
 
@@ -529,14 +520,11 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
         return SolveResult(True, _checked(g, pre.witness, k), stats)
     assert isinstance(pre, Continue)
     tables = _Tables(g, _min_cover(g, pre.cover))
-    cache = _CandidateCache()
-    for tau in _enum_tau_masks(tables, k, cache):
+    for tau in _enum_tau_masks(tables, k):
         stats.palettes += 1
-        cov = _Cover(tables, tau, k, cache)
-        found = _across(cov, stats)
-        if found is not None:
-            witness = EdgeColoring(_assemble(g, cov, *found))
-            return SolveResult(True, _checked(g, witness, k), stats)
+        colors = _settle(g, tables, tau, k, stats)
+        if colors is not None:
+            return SolveResult(True, _checked(g, EdgeColoring(colors), k), stats)
     return SolveResult(False, None, stats)
 
 

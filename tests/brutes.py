@@ -7,9 +7,11 @@ minimum vertex cover, the recursive bipartite matching the package used
 to have, and a restart-from-the-smallest-vertex run of the dual kernel's
 contractions.
 The one exception is ``ref_palette_search``, which feeds the reference palette
-enumeration into the solver's own per-palette search, so that a test can
-compare the memoized enumeration alone against it; ``ref_palette_feasible``
-checks that per-palette search on its own.
+enumeration into the solver's own per-palette decision (``_settle``), so
+that a test can compare the memoized enumeration alone against it;
+``ref_palette_feasible`` checks that decision on its own, and
+``ref_coverable`` checks that every enumerated palette leaves each color
+somewhere to show.
 The reference loaders (``ref_load_instance``, ``ref_load_coloring``) and
 ``ref_has_c4`` are the package's earlier per-line parsers and unfiltered
 four-cycle scan, kept to pin the faster versions to the same answers.
@@ -21,7 +23,7 @@ from itertools import combinations, permutations
 
 from maxec import EdgeColoring, Graph, GraphError, SolveStats
 from maxec.formats import FormatError
-from maxec.solver import _across, _assemble, _CandidateCache, _Cover, _Tables
+from maxec.solver import _settle, _Tables
 
 
 def dumb_sigma(g: Graph, caps=None) -> int:
@@ -307,55 +309,26 @@ def ref_realizable(g: Graph, order, tau: dict[int, int], k: int) -> bool:
     return True
 
 
-def ref_cover_fields(g: Graph, cover, tau: dict[int, int], k: int) -> dict:
-    """The solver's per-palette cover tables rebuilt from the graph alone:
-    allowed colors per cover edge and candidate lists per cut vertex. At
-    the first cut vertex without candidates the rebuild stops and sets
-    ``dead``; the solver never builds tables for such a palette.
-    ``coverage`` holds every color a cover edge allows or a cut vertex with
-    several candidates lists."""
+def ref_coverable(g: Graph, cover, tau: dict[int, int], k: int) -> bool:
+    """Whether every one of the k colors can appear on some edge: allowed
+    on a cover edge (a color of both end palettes) or listed in a candidate
+    of a cut vertex. False as soon as some cut vertex has no candidate. A
+    palette failing this never yields a witness, whatever the colors used
+    inside the cover."""
     in_cover = set(cover)
-    allowed_full = [
-        tau[u] & tau[v] for u, v in g.edges if u in in_cover and v in in_cover
-    ]
-    coverage = 0
-    for a in allowed_full:
-        coverage |= a
-    out = {
-        "allowed_full": allowed_full, "lists": {}, "gee": [], "bee": [],
-        "shown": 0, "coverage": coverage, "dead": False,
-    }
+    shown = 0
+    for u, v in g.edges:
+        if u in in_cover and v in in_cover:
+            shown |= tau[u] & tau[v]
     for u in range(g.n):
         if u in in_cover or g.degree(u) == 0:
             continue
         cands = ref_candidates([tau[w] for _, w in g.adj[u]])
         if not cands:
-            out["dead"] = True
-            break
-        out["lists"][u] = tuple(cands)
-        if len(cands) == 1:
-            out["shown"] |= cands[0]
-            continue
-        common = cands[0]
+            return False
         for y in cands:
-            common &= y
-            out["coverage"] |= y
-        if common:
-            out["shown"] |= common
-            out["gee"].append(u)
-        else:
-            out["bee"].append(u)
-    return out
-
-
-def ref_coverable(g: Graph, cover, tau: dict[int, int], k: int) -> bool:
-    """Whether every one of the k colors can appear on some edge: allowed
-    on a cover edge or listed in a candidate of a cut vertex, with every
-    cut vertex having a candidate. A palette failing this never yields a
-    witness, whatever the colors used inside the cover."""
-    fields = ref_cover_fields(g, cover, tau, k)
-    shown = fields["shown"] | fields["coverage"]
-    return not fields["dead"] and shown == (1 << k) - 1
+            shown |= y
+    return shown == (1 << k) - 1
 
 
 def ref_palette_feasible(g: Graph, cover, tau: dict[int, int], k: int) -> bool:
@@ -379,17 +352,15 @@ def ref_palette_feasible(g: Graph, cover, tau: dict[int, int], k: int) -> bool:
 
 def ref_palette_search(g: Graph, cover: tuple[int, ...], k: int):
     """The palette search with the loop reference enumeration: every
-    palette of ``ref_enum_tau_masks`` goes through ``_Cover``, ``_across``
-    and ``_assemble`` in turn. Returns (per-edge colors or None, stats)."""
+    palette of ``ref_enum_tau_masks`` goes to the solver's ``_settle`` in
+    turn. Returns (per-edge colors or None, stats)."""
     stats = SolveStats()
     tables = _Tables(g, cover)
-    cache = _CandidateCache()
     for tau in ref_enum_tau_masks(g, cover, k):
         stats.palettes += 1
-        cov = _Cover(tables, tau, k, cache)
-        found = _across(cov, stats)
-        if found is not None:
-            return _assemble(g, cov, *found), stats
+        colors = _settle(g, tables, tau, k, stats)
+        if colors is not None:
+            return colors, stats
     return None, stats
 
 

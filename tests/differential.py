@@ -3,8 +3,11 @@
 Asks ``solve_exact`` every k from 0 to n + 1 on each graph of
 ``brutes.graphs_upto_seven()`` (91,441 questions) and compares the verdict
 with ``sigma_exact(edge_limit=None)``. Every YES witness is verified inside
-``solve_exact``. Prints the number of questions, of disagreements and the
-summed search counters, and exits 1 on any disagreement. pytest does not
+``solve_exact``. Prints the number of questions, of disagreements, the
+summed search counters, the widest branch and a SHA-256 over every answer
+in question order (n, edges, k, verdict, witness colors and all
+``SolveStats`` fields), so that two versions give identical outputs exactly
+when their digests match. Exits 1 on any disagreement. pytest does not
 collect this file; run it from the root of a checkout::
 
     PYTHONPATH=src python tests/differential.py
@@ -12,6 +15,7 @@ collect this file; run it from the root of a checkout::
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 from dataclasses import asdict
@@ -25,6 +29,8 @@ def main() -> int:
     questions = 0
     wrong = []
     totals: dict[str, int] = {}
+    widest = 0
+    digest = hashlib.sha256()
     for g in graphs_upto_seven():
         sigma = sigma_exact(g, edge_limit=None).sigma
         for k in range(g.n + 2):
@@ -32,14 +38,20 @@ def main() -> int:
             questions += 1
             if res.yes != (sigma >= k):
                 wrong.append((g.n, g.edges, k, sigma))
-            for name, value in asdict(res.stats).items():
-                if name != "across_branch_max_width":
-                    totals[name] = totals.get(name, 0) + value
+            stats = asdict(res.stats)
+            witness = None if res.witness is None else list(res.witness)
+            digest.update(repr((g.n, g.edges, k, res.yes, witness,
+                                tuple(stats.items()))).encode())
+            widest = max(widest, stats.pop("across_branch_max_width"))
+            for name, value in stats.items():
+                totals[name] = totals.get(name, 0) + value
     for n, edges, k, sigma in wrong[:20]:
         print(f"disagree: n={n} edges={edges} k={k} sigma={sigma}")
     counters = ", ".join(f"{name} {value:,}" for name, value in totals.items())
     print(f"{questions:,} questions, {len(wrong)} disagreements; {counters}; "
+          f"across_branch_max_width {widest}; "
           f"{time.perf_counter() - start:.1f} s")
+    print(f"sha256 {digest.hexdigest()}")
     return 1 if wrong else 0
 
 

@@ -11,7 +11,6 @@ from brutes import (
     connected_graphs_upto,
     graphs_upto_seven,
     ref_coverable,
-    ref_cover_fields,
     ref_enum_tau_masks,
     ref_palette_feasible,
     ref_palette_search,
@@ -27,15 +26,7 @@ from maxec import (
 )
 from maxec.generators import gen_random
 from maxec.matching import Continue, matching_preprocess, maximal_matching
-from maxec.solver import (
-    _across,
-    _assemble,
-    _CandidateCache,
-    _Cover,
-    _enum_tau_masks,
-    _min_cover,
-    _Tables,
-)
+from maxec.solver import _enum_tau_masks, _min_cover, _settle, _Tables
 
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -131,17 +122,19 @@ def _mask(colors):
     return sum(1 << c for c in colors)
 
 
-def _cover(g, tau, k):
-    """Search tables for a palette map given as color sets."""
+def _settle_colors(g, tau, k, stats=None):
+    """``_settle`` on a palette map given as color sets: per-edge colors
+    showing all k colors, or None."""
     order = tuple(sorted(tau))
     masks = tuple(_mask(tau[v]) for v in order)
-    return _Cover(_Tables(g, order), masks, k, _CandidateCache())
+    return _settle(g, _Tables(g, order), masks, k,
+                   SolveStats() if stats is None else stats)
 
 
 def _palettes(g, cover, k):
     """Enumerated palette assignments as {vertex: frozenset of colors}."""
     order = tuple(sorted(cover))
-    for masks in _enum_tau_masks(_Tables(g, order), k, _CandidateCache()):
+    for masks in _enum_tau_masks(_Tables(g, order), k):
         yield {
             v: frozenset(c for c in range(k) if m >> c & 1)
             for v, m in zip(order, masks)
@@ -172,8 +165,8 @@ def _live(g, order, k, tau):
     """No cut vertex is left without a candidate color set, and every cover
     vertex can show its whole palette."""
     masks = {v: _mask(tau[v]) for v in order}
-    fields = ref_cover_fields(g, order, masks, k)
-    return not fields["dead"] and ref_realizable(g, order, masks, k)
+    return (ref_coverable(g, order, masks, k)
+            and ref_realizable(g, order, masks, k))
 
 
 def _orbit_key(order, k, tau):
@@ -236,77 +229,62 @@ class TestPaletteEnumeration:
 
 
 class TestCheckTop:
-    """Cover edges in ``_across``: each shows exactly one allowed color, and
+    """Cover edges in ``_settle``: each shows exactly one allowed color, and
     the final matching chooses it."""
 
     def test_forced_single_color(self):
         # the cover edge allows only color 0; the pendant cut vertex 2 must
         # then show color 1
         g = Graph(3, [(0, 1), (1, 2)])
-        cov = _cover(g, {0: {0}, 1: {0, 1}}, 2)
-        assert _across(cov, SolveStats()) == ([0], {2: 0b10})
+        assert _settle_colors(g, {0: {0}, 1: {0, 1}}, 2) == [0, 1]
 
     def test_one_edge_shows_one_color(self):
         g = Graph(2, [(0, 1)])
-        cov = _cover(g, {0: {0, 1}, 1: {0, 1}}, 2)
-        assert _across(cov, SolveStats()) is None
+        assert _settle_colors(g, {0: {0, 1}, 1: {0, 1}}, 2) is None
 
     def test_unsupported_budget_color_fails_the_final_matching(self):
         # the edge allows only color 0, so nothing offers color 1: the one
         # final matching leaves it unmatched, with no branch before it
         g = Graph(2, [(0, 1)])
-        cov = _cover(g, {0: {0}, 1: {0}}, 2)
         stats = SolveStats()
-        assert _across(cov, stats) is None
+        assert _settle_colors(g, {0: {0}, 1: {0}}, 2, stats) is None
         assert stats == SolveStats(x_guesses=1)
 
     def test_path_shows_both_colors(self):
         # path inside the cover: edges (0,1) and (1,2) share vertex 1
         g = Graph(3, [(0, 1), (1, 2)])
-        cov = _cover(g, {0: {0, 1}, 1: {0, 1}, 2: {0, 1}}, 2)
-        colors, commits = _across(cov, SolveStats())
-        assert sorted(colors) == [0, 1] and commits == {}
-
-
-def _across_colors(g, tau, k, stats=None):
-    """Per-edge colors showing all k colors, for a cover without inner
-    edges, or None."""
-    cov = _cover(g, tau, k)
-    assert not cov.tables.s_edges
-    found = _across(cov, SolveStats() if stats is None else stats)
-    if found is None:
-        return None
-    return _assemble(g, cov, *found)
+        colors = _settle_colors(g, {0: {0, 1}, 1: {0, 1}, 2: {0, 1}}, 2)
+        assert sorted(colors) == [0, 1]
 
 
 class TestCheckAcross:
     def test_pendant_forced(self):
         g = Graph(2, [(0, 1)])
-        assert _across_colors(g, {1: {0}}, 1) == [0]
+        assert _settle_colors(g, {1: {0}}, 1) == [0]
 
     def test_unreachable_color(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        assert _across_colors(g, {0: {0, 1}, 2: {2, 3}}, 5) is None
+        assert _settle_colors(g, {0: {0, 1}, 2: {2, 3}}, 5) is None
 
     def test_nothing_remaining(self):
         # the middle vertex has the single candidate {0, 1}, which shows
         # both colors before any branch
         g = Graph(3, [(0, 1), (1, 2)])
         stats = SolveStats()
-        assert _across_colors(g, {0: {0}, 2: {1}}, 2, stats) == [0, 1]
+        assert _settle_colors(g, {0: {0}, 2: {1}}, 2, stats) == [0, 1]
         assert stats.across_branch_events == 0
 
     def test_matching_assigns_shared_color_vertices(self):
         # two crossing vertices, each must realize one of two leftovers
         g = Graph(6, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 5)])
-        colors = _across_colors(g, {0: {0, 1}, 1: {0, 2}}, 3)
+        colors = _settle_colors(g, {0: {0, 1}, 1: {0, 2}}, 3)
         assert colors is not None
         assert set(colors) == {0, 1, 2}
         # vertices 3 and 4 always show the shared color 0 and may add 1 or
         # 2 respectively; only the matching can give each its leftover
         g = Graph(5, [(0, 3), (1, 3), (0, 4), (2, 4)])
         stats = SolveStats()
-        colors = _across_colors(g, {0: {0}, 1: {0, 1}, 2: {0, 2}}, 3, stats)
+        colors = _settle_colors(g, {0: {0}, 1: {0, 1}, 2: {0, 2}}, 3, stats)
         assert colors == [0, 1, 0, 2]
         assert (stats.across_branch_events, stats.x_guesses) == (0, 1)
 
@@ -315,31 +293,29 @@ def _reference_palettes():
     """Every palette of the reference enumeration without its realizability
     test, on every connected graph with up to 6 vertices, every k from 2 to
     n, over both the matched and the minimum cover (once when they agree),
-    as (g, cover, k, _Cover)."""
+    as (g, cover, k, tables, tau), with one ``_Tables`` per cover."""
     for g in connected_graphs_upto(6):
         matched = _matching_cover(g)
         for cover in dict.fromkeys((matched, _min_cover(g, matched))):
             tables = _Tables(g, cover)
             for k in range(2, g.n + 1):
-                cache = _CandidateCache()
                 for tau in ref_enum_tau_masks(g, cover, k, realizable=False):
-                    yield g, cover, k, _Cover(tables, tau, k, cache)
+                    yield g, cover, k, tables, tau
 
 
 class TestPaletteSearch:
-    """``_across`` decides each palette on its own: it must agree with a
+    """``_settle`` decides each palette on its own: it must agree with a
     set-union brute force on every palette of the reference enumeration,
     and every witness it assembles must verify."""
 
     def test_agrees_with_set_union_reference(self):
         checked = 0
-        for g, cover, k, cov in _reference_palettes():
-            found = _across(cov, SolveStats())
-            want = ref_palette_feasible(g, cover, dict(zip(cover, cov.tau)), k)
-            where = f"edges={g.edges} cover={cover} k={k} tau={cov.tau}"
-            assert (found is not None) == want, where
-            if found is not None:
-                colors = _assemble(g, cov, *found)
+        for g, cover, k, tables, tau in _reference_palettes():
+            colors = _settle(g, tables, tau, k, SolveStats())
+            want = ref_palette_feasible(g, cover, dict(zip(cover, tau)), k)
+            where = f"edges={g.edges} cover={cover} k={k} tau={tau}"
+            assert (colors is not None) == want, where
+            if colors is not None:
                 check = verify_coloring(g, EdgeColoring(colors))
                 assert check.valid, where
                 assert check.colors_used == k, where
@@ -424,9 +400,8 @@ class TestMinCover:
 class TestMemoizedSearch:
     """The memoized palette search against loop references kept in
     ``brutes``: the verdict, the witness and every counter depend on the
-    enumeration order, so it must be identical, and the per-palette tables
-    built on shared per-solve tables and a shared candidate cache must match
-    tables rebuilt from the graph."""
+    enumeration order, so it must be identical, and a palette must settle
+    the same on the tables the enumeration filled as on fresh ones."""
 
     def test_palette_order_matches_reference(self):
         checked = 0
@@ -437,38 +412,35 @@ class TestMemoizedSearch:
                 if isinstance(pre, Continue):
                     assert pre.cover == cover
                 tables = _Tables(g, cover)
-                got = list(_enum_tau_masks(tables, k, _CandidateCache()))
+                got = list(_enum_tau_masks(tables, k))
                 want = list(ref_enum_tau_masks(g, cover, k))
                 assert got == want, f"edges={g.edges} k={k}"
                 checked += len(got)
         assert checked > 1000
 
-    def test_cover_tables_match_rebuild(self):
-        fields = ("lists", "gee", "bee", "shown", "allowed_full")
+    def test_shared_memo_settles_like_a_fresh_one(self):
         sampled = 0
         for g in connected_graphs_upto(6):
             cover = _matching_cover(g)
             for k in range(2, g.n + 1):
                 tables = _Tables(g, cover)
-                cache = _CandidateCache()
-                for i, tau in enumerate(_enum_tau_masks(tables, k, cache)):
+                for i, tau in enumerate(_enum_tau_masks(tables, k)):
                     if i % 3:
                         continue
-                    cov = _Cover(tables, tau, k, cache)
-                    want = ref_cover_fields(g, cover, dict(zip(cover, tau)), k)
-                    assert not want.pop("dead"), f"edges={g.edges} tau={tau}"
-                    del want["coverage"]
-                    got = {name: getattr(cov, name) for name in fields}
-                    assert got == want, f"edges={g.edges} k={k} tau={tau}"
+                    shared, fresh = SolveStats(), SolveStats()
+                    got = _settle(g, tables, tau, k, shared)
+                    want = _settle(g, _Tables(g, cover), tau, k, fresh)
+                    where = f"edges={g.edges} k={k} tau={tau}"
+                    assert got == want, where
+                    assert shared == fresh, where
                     sampled += 1
         assert sampled > 300
 
     def test_enumeration_never_yields_a_dead_palette(self):
-        # _Cover assumes every cut vertex has a candidate, and _across
-        # relies on every color having somewhere to show; the rebuild from
-        # the graph checks each yielded palette for both, over the matched
-        # and the minimum cover, on every small graph and on seeded
-        # 7-vertex draws
+        # _settle assumes every cut vertex has a candidate and relies on
+        # every color having somewhere to show; the reference checks each
+        # yielded palette for both, over the matched and the minimum cover,
+        # on every small graph and on seeded 7-vertex draws
         draws = (gen_random(7, 0.25, seed) for seed in range(60))
         checked = 0
         for g in itertools.chain(connected_graphs_upto(6), (
@@ -477,10 +449,9 @@ class TestMemoizedSearch:
             for cover in dict.fromkeys((matched, _min_cover(g, matched))):
                 tables = _Tables(g, cover)
                 for k in range(2, g.n + 1):
-                    for tau in _enum_tau_masks(tables, k, _CandidateCache()):
+                    for tau in _enum_tau_masks(tables, k):
                         masks = dict(zip(cover, tau))
                         where = f"edges={g.edges} cover={cover} k={k} tau={tau}"
-                        assert not ref_cover_fields(g, cover, masks, k)["dead"], where
                         assert ref_coverable(g, cover, masks, k), where
                         checked += 1
         assert checked > 1000
