@@ -21,20 +21,21 @@ import sys
 from .formats import (
     FormatError,
     load_coloring,
+    load_graph,
     load_instance,
     render_annotated,
     render_coloring,
     render_graph,
 )
 from .generators import gen_random, gen_two_factor, load_mcis, pendant_transform, reduce_mcis
-from .graphs import Graph, GraphError, ValidityProfile, verify_coloring
+from .graphs import GraphError, ValidityProfile, verify_coloring
 from .kernels import (
     FourCycleError,
     Reduced,
     kernelize_c4free,
     kernelize_dual,
     kernelize_standard,
-    lift_coloring,
+    lift_coloring,  # unused here since solve_exact lifts; bench/spans.py still wraps it
 )
 from .matching import ForcedNo, ForcedYes, matching_coloring
 from .oracle import DEFAULT_EDGE_LIMIT, OracleLimitError, sigma_exact
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--kernelize",
         action="store_true",
-        help="shrink with the standard kernel first (k >= 2), lift the witness back",
+        help="accepted and ignored: solve always applies the standard kernel's twin rule",
     )
     solve.add_argument("-o", "--out", help="witness coloring file (default: stdout)")
     solve.add_argument("graph", nargs="?", default="-", help="graph file or - for stdin")
@@ -185,37 +186,14 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _load_plain(path: str) -> Graph:
-    g, f = load_instance(_read(path))
-    if f is not None:
-        raise ValueError(
-            "this command expects a plain graph; capacity lines belong to sigma/verify"
-        )
-    return g
-
-
 def _cmd_solve(args) -> int:
-    g = _load_plain(args.graph)
-    k = args.k
-    witness = None
-    if args.kernelize and k >= 2:
-        kern = kernelize_standard(g, k)
-        verdict = kern.verdict
-        if isinstance(verdict, ForcedYes):
-            witness = verdict.witness
-        elif isinstance(verdict, Reduced):
-            res = solve_exact(verdict.graph, k)
-            if res.yes:
-                witness = lift_coloring(g, verdict.graph, kern.lifting, res.witness)
-    else:
-        res = solve_exact(g, k)
-        if res.yes:
-            witness = res.witness
-    if witness is None:
+    g = load_graph(_read(args.graph))
+    res = solve_exact(g, args.k)
+    if not res.yes:
         print("NO")
         return EXIT_NO
-    print(f"YES k={k}")
-    _write(args.out, render_coloring(g, witness))
+    print(f"YES k={args.k}")
+    _write(args.out, render_coloring(g, res.witness))
     return EXIT_YES
 
 
@@ -230,7 +208,7 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    g = _load_plain(args.graph)
+    g = load_graph(_read(args.graph))
     rules = {
         "standard": kernelize_standard,
         "dual": kernelize_dual,
@@ -274,7 +252,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    g = _load_plain(args.graph)
+    g = load_graph(_read(args.graph))
     coloring = matching_coloring(g)
     print(f"APPROX k={coloring.k}")
     _write(args.out, render_coloring(g, coloring))

@@ -128,15 +128,22 @@ def kernelize_standard(g: Graph, k: int) -> KernelResult:
     if isinstance(pre, (ForcedNo, ForcedYes)):
         return KernelResult(pre, None)
     assert isinstance(pre, Continue)
+    return _compact(g, k, _twin_deletions(g, pre.cover))
+
+
+def _twin_deletions(g: Graph, cover) -> list[tuple]:
+    """The standard rule's deletions, ascending by vertex."""
+    if g.n - len(cover) <= CLASS_FLOOR:  # then no class can pass its bound
+        return []
     actions = []
-    for cls in neighborhood_classes(g, pre.cover):
+    for cls in neighborhood_classes(g, cover):
         bound = max(CLASS_FLOOR, len(cls.T) + 1)
         if len(cls.members) <= bound:
             continue
         twin = cls.members[0] if cls.T else None
         actions.extend(("del", v, twin) for v in cls.members[bound:])
     actions.sort(key=lambda a: a[1])
-    return _compact(g, k, actions)
+    return actions
 
 
 def _compact(g: Graph, k: int, actions: list[tuple]) -> KernelResult:

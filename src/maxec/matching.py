@@ -72,10 +72,8 @@ def matching_coloring(g: Graph, matching: Matching | None = None) -> EdgeColorin
 
     Unmatched edges share one background class, so each vertex sees at most
     its own matched color plus the background. Uses r+1 colors, or r when the
-    matching covers all edges. Requires m >= 1.
+    matching covers all edges (0 on an edgeless graph).
     """
-    if g.m == 0:
-        raise ValueError("graph has no edges to color")
     if matching is None:
         matching = maximal_matching(g)
     ranks = {eid: i for i, eid in enumerate(matching.edge_ids)}

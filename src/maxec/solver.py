@@ -1,6 +1,10 @@
 """Fixed-parameter search for a 2-valid edge coloring with exactly k colors.
 
-Matching preprocessing settles easy instances. Otherwise the search runs
+The route is preprocess, twin trim, search, lift. Matching preprocessing
+settles easy instances. Otherwise the standard kernel's twin rule
+(``kernels._twin_deletions``) deletes surplus twins outside the matched
+cover, the rest is decided, and ``lift_coloring`` copies their colors back;
+the trim keeps the greedy matching, so it fires once. The search runs
 over a minimum vertex cover S, found by ``_min_cover`` with the 2r matched
 endpoints as its first incumbent, so |S| <= 2r <= 2k - 4. No step needs S
 to come from a matching: palettes sit on cover vertices, and every other
@@ -77,6 +81,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .graphs import EdgeColoring, Graph, is_two_factor, verify_coloring
+from .kernels import _compact, _twin_deletions, lift_coloring
 from .matching import Continue, ForcedNo, ForcedYes, matching_preprocess
 from .matching import BipartiteGraph, max_bipartite_matching
 
@@ -495,6 +500,7 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
 
     Yes comes with a verified witness using exactly k colors (k >= 1; the
     k = 0 question is vacuous and answered with a plain valid coloring).
+    After a twin trim, the counters are those of the trimmed graph.
     """
     if k < 0:
         raise ValueError("color count must be nonnegative")
@@ -517,8 +523,18 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
     if isinstance(pre, ForcedNo):
         return SolveResult(False, None, stats)
     if isinstance(pre, ForcedYes):
-        return SolveResult(True, _checked(g, pre.witness, k), stats)
+        return SolveResult(True, pre.witness, stats)
     assert isinstance(pre, Continue)
+    if actions := _twin_deletions(g, pre.cover):
+        kern = _compact(g, k, actions)
+        res = solve_exact(kern.verdict.graph, k)
+        if not res.yes:
+            return res
+        # lift_coloring checks validity; the color count is checked here
+        lifted = lift_coloring(g, kern.verdict.graph, kern.lifting, res.witness)
+        if lifted.k != k:
+            raise AssertionError("lifted witness failed verification")
+        return SolveResult(True, lifted, res.stats)
     tables = _Tables(g, _min_cover(g, pre.cover))
     for tau in _enum_tau_masks(tables, k):
         stats.palettes += 1

@@ -44,8 +44,7 @@ def test_matching_coloring_on_perfect_matching():
     col = matching_coloring(g)
     assert col.k == 2
     assert col.colors == (0, 1)
-    with pytest.raises(ValueError):
-        matching_coloring(Graph(3, []))
+    assert matching_coloring(Graph(3, [])).colors == ()
 
 
 def test_preprocess_settles_small_questions():

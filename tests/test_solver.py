@@ -1,6 +1,7 @@
 """Exact solver checked against the oracle and the staged-search contracts."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from maxec import (
     verify_coloring,
 )
 from maxec.generators import gen_random
+from maxec.kernels import _twin_deletions
 from maxec.matching import Continue, matching_preprocess, maximal_matching
 from maxec.solver import _enum_tau_masks, _min_cover, _settle, _Tables
 
@@ -78,6 +80,37 @@ class TestKnownInstances:
 
     def test_more_colors_than_vertices(self):
         assert not solve_exact(Graph(2, [(0, 1)]), 3).yes
+
+
+def _twin_heavy(seed):
+    """A 5-vertex random core, two groups of 11-13 leaves, each on a core
+    vertex the greedy matching covers, and on odd seeds 11 isolated
+    vertices: each leaf class and the isolated class pass the twin rule's
+    bound, and pendant folding keeps the oracle fast."""
+    rng = random.Random(seed)
+    core = gen_random(5, 0.5, seed)
+    edges = list(core.edges)
+    n = core.n
+    for _ in range(2):
+        hub = rng.randrange(core.n)
+        for _ in range(rng.randint(11, 13)):
+            edges.append((hub, n))
+            n += 1
+    return Graph(n + 11 * (seed % 2), edges)
+
+
+class TestTwinTrim:
+    def test_agrees_with_the_oracle_on_twin_heavy_graphs(self):
+        trimmed = 0
+        for seed in range(8):
+            g = _twin_heavy(seed)
+            sigma = sigma_exact(g, edge_limit=None).sigma
+            for k in (sigma, sigma + 1):
+                pre = matching_preprocess(g, k)
+                if isinstance(pre, Continue) and _twin_deletions(g, pre.cover):
+                    trimmed += 1
+                _assert_agrees(g, k)
+        assert trimmed >= 12
 
 
 class TestOracleAgreement:
