@@ -72,7 +72,12 @@ Key facts the implementation leans on (each argued where used):
   once a cover vertex whose neighborhood, and the neighbors of its cut
   neighbors, are placed cannot put each of its colors on a distinct edge
   (the closing rule). Every cover vertex has an edge, since a minimum or
-  matched cover holds no isolated vertex.
+  matched cover holds no isolated vertex;
+* a color that first appears at cover position p lies on an edge at p,
+  and not on an edge to an earlier cover position, whose palette would
+  already hold it. So p introduces at most ``cap[p]`` = min(2, its
+  neighbors that are cut vertices or later cover positions) new colors,
+  and the enumeration gives p no more room than that.
 """
 
 from __future__ import annotations
@@ -186,11 +191,12 @@ class _Tables:
 
     __slots__ = (
         "order", "s_edges", "s_pos", "cut_vertices", "cut_nbrs", "earlier",
-        "ready_at", "closes_at", "cands",
+        "ready_at", "closes_at", "cap", "after", "cands",
     )
 
     def __init__(self, g: Graph, order: tuple[int, ...]):
         index = {v: i for i, v in enumerate(order)}
+        size = len(order)
         self.order = order
         self.cands = _CandidateCache()
         self.s_edges = []
@@ -203,6 +209,13 @@ class _Tables:
             tuple(index[w] for _, w in g.adj[v] if w in index and index[w] < i)
             for i, v in enumerate(order)
         ]
+        self.cap = [
+            min(2, sum(1 for _, w in g.adj[v] if index.get(w, size) > i))
+            for i, v in enumerate(order)
+        ]
+        self.after = [0] * size
+        for i in range(size - 1, 0, -1):
+            self.after[i - 1] = self.after[i] + self.cap[i]
         self.cut_vertices = [
             u for u in range(g.n) if u not in index and g.degree(u) > 0
         ]
@@ -228,7 +241,8 @@ class _Tables:
 def _options(t: int, pending: tuple, room: int) -> tuple:
     """The sets a cover position may take after colors 0..t-1 appeared,
     with ``pending`` the pairs introduced together whose order is still
-    open and ``room`` = min(k - t, 2) the number of new colors allowed.
+    open and ``room`` = min(k - t, cap[p]) the number of new colors the
+    position may introduce (``_Tables.cap``).
     Each item is (mask, introduced_after, pending_after), in a fixed
     order. Pure, so one table serves every solve."""
     out = []
@@ -271,9 +285,10 @@ def _enum_tau_masks(tables: _Tables, k: int):
     two colors are introduced together the first later set containing
     exactly one of them must contain the smaller. Assignments are filtered
     to those whose sets jointly cover all k colors and intersect on every
-    cover edge. A prefix is dropped as soon as the later positions, each
-    introducing at most two colors, can no longer bring in all k, or as
-    soon as one of these fails:
+    cover edge. Position p introduces at most ``tables.cap[p]`` new colors,
+    and a prefix is dropped as soon as the later positions, together
+    introducing at most ``tables.after[p]``, can no longer bring in all k,
+    or as soon as one of these fails:
 
     * a cut vertex whose neighbors all lie in the prefix has a candidate
       color set;
@@ -284,14 +299,16 @@ def _enum_tau_masks(tables: _Tables, k: int):
       offering something of it (Hall's condition for two colors, given
       that both colors are offered).
 
-    Both hold for the exact palettes of every witness, and neither depends
-    on how colors are labeled, so every witness keeps a yielded palette in
-    its orbit.
+    The cap and both conditions hold for the exact palettes of every
+    witness, and none depends on how colors are labeled, so every witness
+    keeps a yielded palette in its orbit.
     """
     size = len(tables.order)
     earlier = tables.earlier
     ready_at = tables.ready_at
     closes_at = tables.closes_at
+    cap = tables.cap
+    after = tables.after
     cands = tables.cands
     sets = [0] * size
 
@@ -318,12 +335,11 @@ def _enum_tau_masks(tables: _Tables, k: int):
             if t == k:
                 yield tuple(sets)
             return
-        opts = _options(t, pending, min(k - t, 2))
+        opts = _options(t, pending, min(k - t, cap[p]))
         before = [sets[q] for q in earlier[p]]
         ready = ready_at[p]
         closing = closes_at[p]
-        # each later position introduces at most two colors
-        need = k - 2 * (size - p - 1)
+        need = k - after[p]
         for y, t2, pending2 in opts:
             if t2 < need:
                 continue

@@ -260,6 +260,19 @@ class TestPaletteEnumeration:
             checked += 1
         assert checked > 25
 
+    def test_new_color_cap(self):
+        # the middle of a path has two cut neighbors
+        tables = _Tables(Graph(3, [(0, 1), (1, 2)]), (1,))
+        assert (tables.cap, tables.after) == ([2], [0])
+        # in a triangle the last position meets only earlier ones
+        tables = _Tables(Graph(3, [(0, 1), (1, 2), (0, 2)]), (0, 1, 2))
+        assert (tables.cap, tables.after) == ([2, 1, 0], [1, 0, 0])
+        # one later cover neighbor and one cut neighbor; the hub's three
+        # cut neighbors still allow only two new colors
+        g = Graph(6, [(0, 1), (1, 2), (0, 3), (0, 4), (0, 5)])
+        tables = _Tables(g, (1, 0))
+        assert (tables.cap, tables.after) == ([2, 2], [2, 0])
+
 
 class TestCheckTop:
     """Cover edges in ``_settle``: each shows exactly one allowed color, and
