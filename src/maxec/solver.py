@@ -9,7 +9,9 @@ over a minimum vertex cover S, found by ``_min_cover`` with the 2r matched
 endpoints as its first incumbent, so |S| <= 2r <= 2k - 4. No step needs S
 to come from a matching: palettes sit on cover vertices, and every other
 vertex has all its neighbors in S. The search guesses a palette
-assignment tau giving each cover vertex its final color set (size 1 or 2).
+assignment tau giving each cover vertex its final color set (size 1 or 2),
+placing the cover vertices breadth-first (``_cover_order``) so that each
+neighborhood is complete early and the closing rule below fires soon.
 For a fixed tau, a witness is one allowed color per cover edge (a color of
 both end palettes) and one candidate color set per cut vertex that
 together show all k colors. ``_settle`` finds one or proves there is none:
@@ -551,7 +553,7 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
         if lifted.k != k:
             raise AssertionError("lifted witness failed verification")
         return SolveResult(True, lifted, res.stats)
-    tables = _Tables(g, _min_cover(g, pre.cover))
+    tables = _Tables(g, _cover_order(g, _min_cover(g, pre.cover)))
     for tau in _enum_tau_masks(tables, k):
         stats.palettes += 1
         colors = _settle(g, tables, tau, k, stats)
@@ -604,6 +606,45 @@ def _min_cover(g: Graph, cover: tuple[int, ...]) -> tuple[int, ...]:
         stack.append((chosen | nbrs, alive & ~nbrs & ~(1 << top)))
         stack.append((chosen | 1 << top, alive & ~(1 << top)))
     return best
+
+
+def _cover_order(g: Graph, cover: tuple[int, ...]) -> tuple[int, ...]:
+    """The cover vertices in the order the enumeration places them.
+
+    Breadth-first over the cover, where two cover vertices are adjacent
+    when they share an edge or a cut neighbor, so that each vertex's
+    neighborhood is placed soon after it and the closing rule fires early.
+    Each part starts at its vertex of largest degree, and a vertex's
+    unvisited neighbors join the queue by degree, largest first; ties go
+    to the smaller id.
+    """
+    inside = set(cover)
+    near = {v: set() for v in cover}
+    for v in cover:
+        for _, w in g.adj[v]:
+            if w in inside:
+                near[v].add(w)
+            else:
+                near[v].update(x for _, x in g.adj[w] if x != v)
+
+    def rank(v: int) -> tuple[int, int]:
+        return -g.degree(v), v
+
+    order = []
+    seen = set()
+    for root in sorted(cover, key=rank):
+        if root in seen:
+            continue
+        seen.add(root)
+        order.append(root)
+        # order doubles as the queue: entries from here on are unexpanded
+        head = len(order) - 1
+        while head < len(order):
+            fresh = sorted(near[order[head]] - seen, key=rank)
+            seen.update(fresh)
+            order.extend(fresh)
+            head += 1
+    return tuple(order)
 
 
 def _checked(g: Graph, witness: EdgeColoring, k: int) -> EdgeColoring:

@@ -7,14 +7,17 @@ with ``sigma_exact(edge_limit=None)``. Every YES witness is verified inside
 summed search counters, the widest branch and a SHA-256 over every answer
 in question order (n, edges, k, verdict, witness colors and all
 ``SolveStats`` fields), so that two versions give identical outputs exactly
-when their digests match. Exits 1 on any disagreement. pytest does not
-collect this file; run it from the root of a checkout::
+when their digests match. Exits 1 on any disagreement, or when
+``--expect`` names a digest and the run gives another one, so that a change
+to any witness or counter is seen. pytest does not collect this file; run it
+from the root of a checkout::
 
-    PYTHONPATH=src python tests/differential.py
+    PYTHONPATH=src python tests/differential.py [--expect SHA256]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 import time
@@ -25,6 +28,10 @@ from maxec import sigma_exact, solve_exact
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--expect", metavar="SHA256",
+                        help="exit 1 unless the digest equals this one")
+    args = parser.parse_args()
     start = time.perf_counter()
     questions = 0
     wrong = []
@@ -52,6 +59,9 @@ def main() -> int:
           f"across_branch_max_width {widest}; "
           f"{time.perf_counter() - start:.1f} s")
     print(f"sha256 {digest.hexdigest()}")
+    if args.expect is not None and digest.hexdigest() != args.expect:
+        print(f"digest differs from the expected {args.expect}")
+        return 1
     return 1 if wrong else 0
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,13 @@ from maxec import (
 from maxec.generators import gen_random
 from maxec.kernels import _twin_deletions
 from maxec.matching import Continue, matching_preprocess, maximal_matching
-from maxec.solver import _enum_tau_masks, _min_cover, _settle, _Tables
+from maxec.solver import (
+    _cover_order,
+    _enum_tau_masks,
+    _min_cover,
+    _settle,
+    _Tables,
+)
 
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -164,9 +171,9 @@ def _settle_colors(g, tau, k, stats=None):
                    SolveStats() if stats is None else stats)
 
 
-def _palettes(g, cover, k):
-    """Enumerated palette assignments as {vertex: frozenset of colors}."""
-    order = tuple(sorted(cover))
+def _palettes(g, order, k):
+    """Enumerated palette assignments as {vertex: frozenset of colors}, with
+    the cover placed in ``order``."""
     for masks in _enum_tau_masks(_Tables(g, order), k):
         yield {
             v: frozenset(c for c in range(k) if m >> c & 1)
@@ -224,7 +231,7 @@ class TestPaletteEnumeration:
         n = 1 + max(max(e) for e in edges)
         g = Graph(n, edges)
         got = list(_palettes(g, cover, k))
-        order = tuple(sorted(cover))
+        order = cover
         keys = [_orbit_key(order, k, tau) for tau in got]
         assert len(keys) == len(set(keys)), "duplicate orbit emitted"
         want = {
@@ -243,22 +250,27 @@ class TestPaletteEnumeration:
 
     def test_witness_palettes_survive_the_closing_rule(self):
         # the exact palettes of an optimal coloring, taken from the oracle,
-        # must be one of the yielded palettes up to relabeling colors
+        # must be one of the yielded palettes up to relabeling colors, with
+        # the cover ascending and in the solver's order; this covers the
+        # closing rule and the cap on new colors per position
         checked = 0
-        for g in connected_graphs_upto(5):
+        for g in connected_graphs_upto(6):
             res = sigma_exact(g, edge_limit=None)
             k = res.sigma
             if k < 1:
                 continue
             label = {}
             colors = [label.setdefault(c, len(label)) for c in res.witness]
-            order = _min_cover(g, _matching_cover(g))
-            exact = {v: frozenset(colors[eid] for eid, _ in g.adj[v])
-                     for v in order}
-            keys = {_orbit_key(order, k, tau) for tau in _palettes(g, order, k)}
-            assert _orbit_key(order, k, exact) in keys, f"edges={g.edges}"
-            checked += 1
-        assert checked > 25
+            cover = _min_cover(g, _matching_cover(g))
+            for order in dict.fromkeys((cover, _cover_order(g, cover))):
+                exact = {v: frozenset(colors[eid] for eid, _ in g.adj[v])
+                         for v in order}
+                keys = {_orbit_key(order, k, tau)
+                        for tau in _palettes(g, order, k)}
+                where = f"edges={g.edges} order={order}"
+                assert _orbit_key(order, k, exact) in keys, where
+                checked += 1
+        assert checked > 100
 
     def test_new_color_cap(self):
         # the middle of a path has two cut neighbors
@@ -512,7 +524,8 @@ def _differential_check(g):
         if not isinstance(pre, Continue):
             continue
         res = solve_exact(g, k)
-        colors, ref = ref_palette_search(g, _min_cover(g, pre.cover), k)
+        order = _cover_order(g, _min_cover(g, pre.cover))
+        colors, ref = ref_palette_search(g, order, k)
         where = f"n={g.n} edges={g.edges} k={k}"
         assert res.yes == (colors is not None), where
         assert (None if res.witness is None else list(res.witness)) == colors, where
@@ -551,20 +564,20 @@ class TestPrunedSearch:
 
 
 # seeded draws whose greedy matching has size 3 (a 6-vertex matched cover;
-# the search runs on a minimum cover of 3 to 6 vertices), with SolveStats
-# fields and witness colors. The enumeration's closing rule leaves three
-# of the NO questions without a single palette
+# the search runs on a minimum cover of 3 to 6 vertices, in _cover_order),
+# with SolveStats fields and witness colors. The enumeration's closing rule
+# leaves three of the NO questions without a single palette
 PINNED = [
-    ((9, 0.2, 1), 5, (1, 1, 0, 1, 2), [0, 0, 1, 0, 0, 2, 3, 4]),
+    ((9, 0.2, 1), 5, (1, 1, 0, 1, 2), [0, 0, 1, 0, 0, 2, 4, 3]),
     ((9, 0.2, 1), 6, (0, 0, 0, 0, 0), None),
     ((9, 0.2, 28), 5, (1, 1, 0, 0, 0),
-     [0, 1, 0, 0, 0, 0, 0, 2, 4, 3, 0, 0]),
-    ((9, 0.25, 10), 5, (1, 1, 0, 1, 2), [0, 1, 0, 2, 3, 0, 4, 0]),
+     [0, 2, 0, 0, 0, 0, 0, 1, 4, 3, 0, 0]),
+    ((9, 0.25, 10), 5, (1, 1, 0, 1, 2), [0, 2, 0, 3, 4, 0, 1, 0]),
     ((10, 0.2, 6), 5, (0, 0, 0, 0, 0), None),
-    ((10, 0.25, 36), 6, (1, 1, 0, 1, 4), [0, 1, 2, 3, 4, 0, 5, 0]),
+    ((10, 0.25, 36), 6, (1, 1, 0, 1, 4), [0, 2, 5, 3, 4, 0, 1, 0]),
     ((10, 0.25, 36), 7, (0, 0, 0, 0, 0), None),
     ((11, 0.25, 3), 7, (1, 1, 0, 3, 2),
-     [0, 0, 1, 0, 2, 3, 4, 5, 6, 5]),
+     [0, 0, 1, 0, 4, 5, 6, 2, 3, 2]),
     ((11, 0.3, 1), 7, (1, 1, 0, 0, 0), None),
 ]
 
@@ -590,3 +603,26 @@ class TestPinnedCounters:
         # second must not see tables or candidates of the first
         for case in (PINNED[4], PINNED[7], PINNED[0], PINNED[4]):
             _pinned_check(*case)
+
+
+# the slowest questions of earlier versions (over 40 s together), each a
+# YES at sigma and a NO at sigma + 1: sigma from sigma_exact(edge_limit=None)
+HEAVY = [
+    ((20, 0.12, 264274), 12, (2, 3, 0, 2, 2), True),
+    ((20, 0.12, 264274), 13, (0, 0, 0, 0, 0), False),
+    ((21, 0.15, 131613), 13, (1, 3, 0, 2, 3), True),
+    ((21, 0.15, 131613), 14, (0, 0, 0, 0, 0), False),
+    ((40, 0.06, 8), 18, (1, 1, 0, 3, 2), True),
+    ((40, 0.06, 8), 19, (0, 0, 0, 0, 0), False),
+]
+
+
+class TestHeavyTail:
+    """Draws with 10-14-vertex minimum covers that the cap on new colors
+    and the cover order answer after a handful of palettes."""
+
+    @pytest.mark.parametrize("draw,k,counters,yes", HEAVY)
+    def test_counters_and_verdict(self, draw, k, counters, yes):
+        res = solve_exact(gen_random(*draw), k)
+        assert astuple(res.stats) == counters
+        assert res.yes == yes
