@@ -198,7 +198,6 @@ class _Tables:
 
     def __init__(self, g: Graph, order: tuple[int, ...]):
         index = {v: i for i, v in enumerate(order)}
-        size = len(order)
         self.order = order
         self.cands = _CandidateCache()
         self.s_edges = []
@@ -211,12 +210,13 @@ class _Tables:
             tuple(index[w] for _, w in g.adj[v] if w in index and index[w] < i)
             for i, v in enumerate(order)
         ]
+        # a neighbor outside earlier[i] is a cut vertex or a later position
         self.cap = [
-            min(2, sum(1 for _, w in g.adj[v] if index.get(w, size) > i))
+            min(2, g.degree(v) - len(self.earlier[i]))
             for i, v in enumerate(order)
         ]
-        self.after = [0] * size
-        for i in range(size - 1, 0, -1):
+        self.after = [0] * len(order)
+        for i in range(len(order) - 1, 0, -1):
             self.after[i - 1] = self.after[i] + self.cap[i]
         self.cut_vertices = [
             u for u in range(g.n) if u not in index and g.degree(u) > 0
