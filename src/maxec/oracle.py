@@ -26,11 +26,32 @@ If the new class fits, recoloring that edge to a fresh color in any
 completed partition stays valid and gains a class. Otherwise no later edge
 touches u or v, so all fitting old classes are future-equivalent.
 
+A position is entered only while ``classes + min(m - pos, (room - owed)
+// 2) > best``. ``room`` sums capacity minus palette size over the open
+vertices, those with an edge at pos or later; each class still to come
+enters the palettes of both ends of its first edge, so it spends two units
+of room. An open vertex x with room is *owed* when a later edge (x, w) ends
+at a full vertex w whose palette is disjoint from x's. That edge can only
+take one of w's classes, which all exist already and are not in x's
+palette, so one unit of x's room goes to an old class and x can start at
+most its room minus one new classes; ``owed`` counts these vertices. The
+same argument cuts a node at once when a later edge joins two full
+vertices with disjoint palettes: no class fits it. The owed set is a
+bitmask kept with the undo record. After an assignment only an endpoint
+that gained the class can change: its own bit is recomputed, and when it
+has just filled, each later neighbor with room and a disjoint palette
+becomes owed, and a full one kills the node. An endpoint that gained
+nothing shares the class with the other end, so its bit stands. Both
+rules cut only subtrees whose colorings cannot beat ``best``, and ``best``
+only moves on a strictly larger count. So the search meets the same
+improving leaves in the same order as with the plain room bound, and the
+witness is the same first optimum in edge-id order.
+
 Backing up to position pos, its remaining old classes are skipped once
 ``classes + (m - pos - 1) <= best``: an old class keeps ``classes``, so the
-next position would fail its entry bound ``classes + min(m - pos - 1,
-room // 2) > best`` at once. Without the skip a long cycle tries every old class at every
-position after its first optimum, which is quadratic.
+next position would fail its entry bound at once. Without the skip a long
+cycle tries every old class at every position after its first optimum,
+which is quadratic.
 
 Connected components are solved independently and summed; the number of
 colors is additive because components can always use disjoint palettes.
@@ -195,11 +216,23 @@ def _search(n: int, edges, caps):
     last = [-1] * n  # position of the last edge per vertex
     for pos, (u, v) in enumerate(edges):
         last[u] = last[v] = pos
+    ahead: list[list[int]] = [[] for _ in range(n)]  # far ends of later edges
+    # per position: each endpoint, its undo flag and the far ends of its
+    # later edges
+    ends: list[tuple] = [()] * m
+    for pos in range(m - 1, -1, -1):
+        u, v = edges[pos]
+        ends[pos] = ((u, 1, tuple(ahead[u])), (v, 2, tuple(ahead[v])))
+        ahead[u].append(v)
+        ahead[v].append(u)
     pal = [0] * n  # palette bitmask per vertex
     size = [0] * n
     room = sum(caps[v] for v in range(n) if last[v] >= 0)
+    owed = 0  # bitmask of the owed vertices (module docstring)
+    dead = False  # some later edge joins two full vertices with disjoint palettes
     assign = [0] * m  # class per position
     gained = [0] * m  # undo flags per position: 1 u, 2 v, 4 new class
+    owes = [0] * m  # owed bitmask at entry, per position
     rest = [0] * m  # old classes still to try per position
     best = classes = pos = 0
     best_assign: list[int] | None = None
@@ -208,7 +241,7 @@ def _search(n: int, edges, caps):
         if pos == m:
             if classes > best:
                 best, best_assign = classes, assign[:]
-        elif classes + min(m - pos, room // 2) > best:
+        elif not dead and classes + min(m - pos, (room - owed.bit_count()) // 2) > best:
             u, v = edges[pos]
             ru, rv = size[u] < caps[u], size[v] < caps[v]
             every = (1 << classes) - 1
@@ -239,22 +272,38 @@ def _search(n: int, edges, caps):
                 room += 1
             if flags & 4:
                 classes -= 1
+            owed, dead = owes[pos], False
             old = rest[pos]
             if old and classes + m - pos - 1 > best:
                 a = (old & -old).bit_length() - 1
                 rest[pos] = old & (old - 1)
-        u, v = edges[pos]
         bit, flags = 1 << a, 0
-        if not pal[u] & bit:
-            pal[u] |= bit
-            size[u] += 1
+        owes[pos] = owed
+        # an endpoint that gained nothing shares the class with the other
+        # end, so no later edge made it owed through that end: its bit stands
+        for x, flag, far in ends[pos]:
+            px = pal[x]
+            if px & bit:
+                continue
+            px |= bit
+            pal[x] = px
+            size[x] += 1
             room -= 1
-            flags = 1
-        if not pal[v] & bit:
-            pal[v] |= bit
-            size[v] += 1
-            room -= 1
-            flags |= 2
+            flags |= flag
+            owed &= ~(1 << x)
+            if size[x] < caps[x]:
+                for w in far:
+                    if size[w] == caps[w] and not pal[w] & px:
+                        owed |= 1 << x
+                        break
+            else:  # x just filled
+                for w in far:
+                    if not pal[w] & px:
+                        if size[w] < caps[w]:
+                            owed |= 1 << w
+                        else:
+                            dead = True
+        u, v = edges[pos]
         if last[u] == pos:
             room -= caps[u] - size[u]
         if last[v] == pos:

@@ -7,12 +7,14 @@ with ``sigma_exact(edge_limit=None)``. Every YES witness is verified inside
 summed search counters, the widest branch and a SHA-256 over every answer
 in question order (n, edges, k, verdict, witness colors and all
 ``SolveStats`` fields), so that two versions give identical outputs exactly
-when their digests match. Exits 1 on any disagreement, or when
-``--expect`` names a digest and the run gives another one, so that a change
-to any witness or counter is seen. pytest does not collect this file; run it
-from the root of a checkout::
+when their digests match. A second SHA-256 covers the oracle alone: each
+graph's n, edges, sigma and witness colors, in graph order. Exits 1 on any
+disagreement, or when ``--expect`` or ``--expect-oracle`` names a digest and
+the run gives another one, so that a change to any witness or counter of
+either search is seen. pytest does not collect this file; run it from the
+root of a checkout::
 
-    PYTHONPATH=src python tests/differential.py [--expect SHA256]
+    PYTHONPATH=src python tests/differential.py [--expect SHA256] [--expect-oracle SHA256]
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--expect", metavar="SHA256",
                         help="exit 1 unless the digest equals this one")
+    parser.add_argument("--expect-oracle", metavar="SHA256",
+                        help="exit 1 unless the oracle's digest equals this one")
     args = parser.parse_args()
     start = time.perf_counter()
     questions = 0
@@ -38,8 +42,11 @@ def main() -> int:
     totals: dict[str, int] = {}
     widest = 0
     digest = hashlib.sha256()
+    oracle_digest = hashlib.sha256()
     for g in graphs_upto_seven():
-        sigma = sigma_exact(g, edge_limit=None).sigma
+        best = sigma_exact(g, edge_limit=None)
+        sigma = best.sigma
+        oracle_digest.update(repr((g.n, g.edges, sigma, best.witness.colors)).encode())
         for k in range(g.n + 2):
             res = solve_exact(g, k)
             questions += 1
@@ -59,10 +66,14 @@ def main() -> int:
           f"across_branch_max_width {widest}; "
           f"{time.perf_counter() - start:.1f} s")
     print(f"sha256 {digest.hexdigest()}")
-    if args.expect is not None and digest.hexdigest() != args.expect:
-        print(f"digest differs from the expected {args.expect}")
-        return 1
-    return 1 if wrong else 0
+    print(f"oracle sha256 {oracle_digest.hexdigest()}")
+    failed = bool(wrong)
+    for name, got, want in (("digest", digest, args.expect),
+                            ("oracle digest", oracle_digest, args.expect_oracle)):
+        if want is not None and got.hexdigest() != want:
+            print(f"{name} differs from the expected {want}")
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -12,9 +12,11 @@ from maxec import (
     Graph,
     OracleLimitError,
     ValidityProfile,
+    gen_random,
     gen_two_factor,
     is_two_factor,
     sigma_exact,
+    solve_exact,
     verify_coloring,
 )
 
@@ -101,7 +103,10 @@ def test_threshold_on_disconnected_graphs():
 
 
 def test_capacity_profiles_exhaustively():
-    for g in connected_graphs_upto(4):
+    # capacity-1 vertices are where the owed-room rule and the dead-edge
+    # cut fire most, so this reaches 6 vertices
+    graphs = [g for g in connected_graphs_upto(6) if g.n < 6 or g.m <= 9]
+    for g in graphs:
         for caps in all_capacity_maps(g.n):
             profile = ValidityProfile(f=caps)
             res = sigma_exact(g, profile=profile, edge_limit=None)
@@ -109,6 +114,22 @@ def test_capacity_profiles_exhaustively():
             check = verify_coloring(g, res.witness, profile)
             assert check.valid
             assert check.colors_used == res.sigma
+
+
+def test_larger_draws_keep_their_optimum():
+    # sigma values recorded before the owed-room rule, on draws where that
+    # rule cuts most of the search
+    for (n, p, seed), sigma in {(30, .08, 4): 16, (28, .1, 3): 16, (30, .1, 5): 20}.items():
+        g = gen_random(n, p, seed)
+        res = sigma_exact(g, edge_limit=None)
+        assert res.sigma == sigma, (n, p, seed)
+        check = verify_coloring(g, res.witness)
+        assert check.valid and check.colors_used == sigma
+    g = gen_random(24, .1, 1)
+    res = sigma_exact(g, edge_limit=None)
+    assert res.sigma == 14
+    assert verify_coloring(g, res.witness).colors_used == 14
+    assert solve_exact(g, 14).yes and not solve_exact(g, 15).yes
 
 
 def test_all_capacity_one_forces_single_color_per_component():
