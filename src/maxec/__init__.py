@@ -52,7 +52,6 @@ from .kernels import (
     neighborhood_classes,
 )
 from .matching import (
-    BipartiteGraph,
     Continue,
     ForcedNo,
     ForcedYes,
@@ -60,7 +59,6 @@ from .matching import (
     matching_coloring,
     matching_preprocess,
     maximal_matching,
-    max_bipartite_matching,
 )
 from .oracle import (
     DEFAULT_EDGE_LIMIT,
@@ -76,7 +74,6 @@ __all__ = [
     "DEFAULT_EDGE_LIMIT",
     "DEFAULT_PROFILE",
     "AnnotatedInstance",
-    "BipartiteGraph",
     "Continue",
     "EdgeColoring",
     "ForcedNo",
@@ -115,7 +112,6 @@ __all__ = [
     "matching_coloring",
     "matching_preprocess",
     "maximal_matching",
-    "max_bipartite_matching",
     "neighborhood_classes",
     "palettes",
     "pendant_transform",

@@ -111,56 +111,3 @@ def _checked(g: Graph, k: int, matching: Matching | None = None) -> EdgeColoring
         raise AssertionError("matching witness failed verification")
     return witness
 
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Bipartite graph over two label sets; edges are (left, right) pairs."""
-
-    left: tuple
-    right: tuple
-    edges: tuple[tuple[object, object], ...]
-
-    def __post_init__(self):
-        left, right = set(self.left), set(self.right)
-        if len(left) != len(self.left) or len(right) != len(self.right):
-            raise ValueError("vertex labels must be unique per side")
-        for a, b in self.edges:
-            if a not in left or b not in right:
-                raise ValueError(f"edge ({a!r}, {b!r}) leaves the vertex sets")
-
-
-def max_bipartite_matching(bg: BipartiteGraph) -> dict:
-    """Maximum matching via augmenting paths; returns {left label: right label}.
-
-    Deterministic: left vertices are processed in their given order and
-    adjacency follows edge order. Each augmenting-path search is a
-    depth-first walk on an explicit stack, so long paths need no recursion.
-    """
-    adj: dict = {a: [] for a in bg.left}
-    for a, b in bg.edges:
-        adj[a].append(b)
-    match_right: dict = {}
-    for root in bg.left:
-        seen = set()
-        frames = [(root, iter(adj[root]))]
-        # via[i] is the right vertex that frames[i] is trying
-        via = []
-        while frames:
-            for b in frames[-1][1]:
-                if b not in seen:
-                    break
-            else:
-                frames.pop()
-                if via:
-                    via.pop()
-                continue
-            seen.add(b)
-            via.append(b)
-            if b in match_right:
-                a = match_right[b]
-                frames.append((a, iter(adj[a])))
-                continue
-            for (a, _), b in zip(frames, via):
-                match_right[b] = a
-            break
-    return {a: b for b, a in match_right.items()}

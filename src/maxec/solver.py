@@ -18,8 +18,10 @@ together show all k colors. ``_settle`` finds one or proves there is none:
 colors every choice shows come off first, flexible cut vertices are
 settled by forcing and bounded branching, and a final bipartite matching
 between the leftover colors and the other providers (cover edges and
-shared-color cut vertices) decides the rest. The colors the cover edges
-use come out of that matching, so they are never guessed.
+shared-color cut vertices) decides the rest. ``_saturate`` runs it on
+bitmasks in a fixed order: leftover colors ascending, providers
+ascending, cover edges before shared-color vertices. The colors the
+cover edges use come out of that matching, so they are never guessed.
 
 Color sets are bitmasks throughout, bit c standing for color c.
 
@@ -90,7 +92,6 @@ from functools import cache
 from .graphs import EdgeColoring, Graph, is_two_factor, verify_coloring
 from .kernels import _compact, _twin_deletions, lift_coloring
 from .matching import Continue, ForcedNo, ForcedYes, matching_preprocess
-from .matching import BipartiteGraph, max_bipartite_matching
 
 ACROSS_BRANCH_LIMIT = 4
 
@@ -379,6 +380,49 @@ def _best_hits(cands: tuple[int, ...], r: int) -> list[int]:
     ]
 
 
+def _saturate(r: int, offers: list[int]) -> dict[int, int] | None:
+    """Match each color c of r to its own provider p, one with c in
+    ``offers[p]``: returns {provider: color}, or None when no such
+    matching exists.
+
+    Augmenting paths (Kuhn 1955): the colors of r in ascending order, each
+    searching depth first for a free provider, providers in ascending
+    order. Every provider tried joins ``seen``, so a frame's next provider
+    is the lowest it offers outside ``seen``; frames sit on an explicit
+    stack, so a long path needs no recursion. A color that finds no path
+    never gets matched later, so the search stops there.
+    """
+    takers = dict.fromkeys(_bits(r), 0)
+    for p, offer in enumerate(offers):
+        for c in _bits(offer & r):
+            takers[c] |= 1 << p
+    owner = {}
+    for root in takers:
+        seen = 0
+        # path[i] is a color of the alternating path, via[i] its provider
+        path = [root]
+        via = []
+        while True:
+            free = takers[path[-1]] & ~seen
+            if not free:
+                path.pop()
+                if not path:
+                    return None
+                via.pop()
+                continue
+            low = free & -free
+            seen |= low
+            p = low.bit_length() - 1
+            via.append(p)
+            if p in owner:
+                path.append(owner[p])
+                continue
+            for c, q in zip(path, via):
+                owner[q] = c
+            break
+    return owner
+
+
 def _settle(g: Graph, tables: _Tables, tau: tuple[int, ...], k: int,
             stats: SolveStats) -> list[int] | None:
     """Decide one palette: an allowed color per cover edge and a candidate
@@ -396,6 +440,9 @@ def _settle(g: Graph, tables: _Tables, tau: tuple[int, ...], k: int,
     of its allowed colors, a shared-color vertex at most one besides its
     shared one. So one bipartite matching that saturates r decides the
     rest, and a cover edge left unmatched takes its lowest allowed color.
+    ``_saturate`` finds it, numbering cover edge i as provider i and the
+    j-th shared-color vertex as provider ``len(allowed) + j``, and takes
+    colors and providers in ascending order.
     """
     allowed = [tau[i] & tau[j] for i, j in tables.s_pos]
     lists = {}
@@ -416,8 +463,16 @@ def _settle(g: Graph, tables: _Tables, tau: tuple[int, ...], k: int,
         else:
             flexible.append(u)
 
+    # no offer changes inside rec
+    offers = list(allowed)
+    for u in shared:
+        offer = 0
+        for y in lists[u]:
+            offer |= y
+        offers.append(offer)
+
     def rec(r: int, commits: dict[int, int]):
-        commits = dict(commits)
+        # every caller passes a fresh dict, so rec may fill it in place
         while True:
             changed = False
             for u in flexible:
@@ -453,27 +508,15 @@ def _settle(g: Graph, tables: _Tables, tau: tuple[int, ...], k: int,
         colors = [_low_bit(a) for a in allowed]
         if not r:
             return colors, commits
-        # cover edge i is provider ~i, a shared-color vertex is itself
-        offers = [(~i, a) for i, a in enumerate(allowed)]
-        for u in shared:
-            offer = 0
-            for y in lists[u]:
-                offer |= y
-            offers.append((u, offer))
-        left = tuple(_bits(r))
-        edges = tuple(
-            (c, who) for c in left for who, offer in offers if offer >> c & 1
-        )
-        pairing = max_bipartite_matching(BipartiteGraph(
-            left=left, right=tuple(who for who, _ in offers), edges=edges,
-        ))
-        if len(pairing) < len(left):
+        pairing = _saturate(r, offers)
+        if pairing is None:
             return None
-        for c, who in pairing.items():
-            if who < 0:
-                colors[~who] = c
+        for p, c in pairing.items():
+            if p < len(allowed):
+                colors[p] = c
             else:
-                commits[who] = next(y for y in lists[who] if y >> c & 1)
+                u = shared[p - len(allowed)]
+                commits[u] = next(y for y in lists[u] if y >> c & 1)
         return colors, commits
 
     found = rec((1 << k) - 1 & ~shown, {})

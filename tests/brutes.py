@@ -364,13 +364,14 @@ def ref_palette_search(g: Graph, cover: tuple[int, ...], k: int):
     return None, stats
 
 
-def ref_max_bipartite_matching(bg) -> dict:
-    """The recursive augmenting-path matching that ``max_bipartite_matching``
-    replaced: left vertices in their given order, adjacency in edge order,
-    one recursive call per step of an augmenting path. The explicit-stack
-    version must return the same pairing."""
-    adj: dict = {a: [] for a in bg.left}
-    for a, b in bg.edges:
+def ref_max_bipartite_matching(left, edges) -> dict:
+    """The recursive augmenting-path matching that ``solver._saturate``
+    must reproduce: ``left`` vertices in their given order, each one's
+    right neighbors in the order of ``edges`` ((left, right) pairs), one
+    recursive call per step of an augmenting path. Returns {left: right}
+    for every matched left vertex and leaves the others out."""
+    adj: dict = {a: [] for a in left}
+    for a, b in edges:
         adj[a].append(b)
     match_right: dict = {}
 
@@ -384,7 +385,7 @@ def ref_max_bipartite_matching(bg) -> dict:
                 return True
         return False
 
-    for a in bg.left:
+    for a in left:
         augment(a, set())
     return {a: b for b, a in match_right.items()}
 

@@ -17,8 +17,17 @@ from maxec.formats import (
 )
 from maxec.generators import MCISInstance, gen_random, render_mcis
 from maxec.graphs import Graph, ValidityProfile, verify_coloring
+from maxec.kernels import (
+    has_c4,
+    kernelize_c4free,
+    kernelize_dual,
+    kernelize_standard,
+    lift_coloring,
+)
 from maxec.oracle import sigma_exact
+from maxec.solver import solve_exact
 from test_formats import documents
+from test_oracle import random_graphs
 
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
 SQUARE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -518,3 +527,94 @@ class TestMalformedDocuments:
             assert code != 4, (argv, err.getvalue())
             if fault is not None:
                 assert (code, err.getvalue()) == (2, f"error: {fault}\n")
+
+
+KERNELS = {
+    "standard": kernelize_standard,
+    "c4free": kernelize_c4free,
+    "dual": kernelize_dual,
+}
+
+
+def _run_quiet(*argv):
+    """(exit code, stdout, stderr) of one in-process run; never exit 4 or
+    a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    assert code != 4, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _kernel_agrees(g, graph, rule, arg, colors, yes):
+    """``kernel --rule rule --k arg``, then ``solve_exact`` on the reduced
+    graph and ``lift_coloring`` back: the verdict is ``yes`` and a lifted
+    witness shows ``colors`` colors."""
+    code, out, _ = _run_quiet("kernel", "--rule", rule, "--k", str(arg), str(graph))
+    first, _, doc = out.partition("\n")
+    if first == "NO":
+        assert (code, yes) == (1, False)
+        return
+    if first == f"YES k={arg}":
+        assert (code, yes) == (0, True)
+        return
+    reduced = load_graph(doc)
+    assert (code, first) == (0, f"REDUCED n={reduced.n} m={reduced.m} k={arg}")
+    result = KERNELS[rule](g, arg)
+    assert (result.verdict.graph.n, result.verdict.graph.edges) == (
+        reduced.n, reduced.edges,
+    )
+    # the dual rule keeps the deficit, so the reduced target is n' - arg
+    target = reduced.n - arg if rule == "dual" else arg
+    if target <= 0:
+        assert yes
+        return
+    res = solve_exact(reduced, target)
+    assert res.yes == yes
+    if yes:
+        lifted = lift_coloring(g, reduced, result.lifting, res.witness)
+        check = verify_coloring(g, lifted)
+        assert check.valid and check.colors_used == colors
+
+
+def _agrees_with_oracle(workdir, g):
+    """Every route of ``solve`` and ``kernel`` on g against sigma_exact."""
+    sigma = sigma_exact(g, edge_limit=None).sigma
+    graph, witness = workdir / "g.gr", workdir / "w.col"
+    graph.write_text(render_graph(g))
+    for k in (sigma, sigma + 1):
+        plain = _run_quiet("solve", "--k", str(k), str(graph))
+        assert _run_quiet("solve", "--kernelize", "--k", str(k), str(graph)) == plain
+        code, out, _ = plain
+        if k > sigma:
+            assert (code, out) == (1, "NO\n")
+            continue
+        first, _, doc = out.partition("\n")
+        assert (code, first) == (0, f"YES k={k}")
+        witness.write_text(doc)
+        assert _run_quiet("verify", str(graph), str(witness))[:2] == (
+            0, f"VALID colors={k}\n",
+        )
+    rules = ("standard", "c4free") if has_c4(g) is None else ("standard",)
+    for rule in rules:
+        for k in (sigma, sigma + 1):
+            if k >= 2:
+                _kernel_agrees(g, graph, rule, k, k, k <= sigma)
+    # deficit d asks for n - d colors; d >= n asks for none, always yes
+    for d in sorted({max(0, g.n - sigma - 1), g.n - sigma, g.n}):
+        _kernel_agrees(g, graph, "dual", d, g.n - d, sigma >= g.n - d)
+
+
+class TestOracleAgreement:
+    """solve, solve --kernelize and each kernel rule followed by the lift
+    agree with the oracle on small graphs."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("oracle")
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=random_graphs(max_n=7, max_m=10))
+    def test_every_route_matches_sigma(self, workdir, g):
+        _agrees_with_oracle(workdir, g)

@@ -1,4 +1,4 @@
-"""Matching-based preprocessing and bipartite matching."""
+"""Matching-based preprocessing and the solver's final matching."""
 
 import random
 from itertools import combinations
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from brutes import dumb_sigma, ref_max_bipartite_matching
 from maxec import (
-    BipartiteGraph,
     Continue,
     ForcedNo,
     ForcedYes,
@@ -17,9 +16,9 @@ from maxec import (
     matching_coloring,
     matching_preprocess,
     maximal_matching,
-    max_bipartite_matching,
     verify_coloring,
 )
+from maxec.solver import _bits, _saturate
 
 
 def test_greedy_matching_is_maximal():
@@ -92,91 +91,71 @@ def test_forced_yes_matches_ground_truth_on_small_graphs():
                 assert s < k
 
 
-def test_bipartite_matching_on_known_graphs():
-    bg = BipartiteGraph(
-        left=("a", "b", "c"),
-        right=(1, 2),
-        edges=(("a", 1), ("b", 1), ("b", 2), ("c", 2)),
-    )
-    pairing = max_bipartite_matching(bg)
-    assert len(pairing) == 2
-    assert set(pairing) <= {"a", "b", "c"}
-    full = BipartiteGraph(
-        left=("a", "b"),
-        right=(1, 2),
-        edges=(("a", 1), ("a", 2), ("b", 1), ("b", 2)),
-    )
-    assert len(max_bipartite_matching(full)) == 2
-    none = BipartiteGraph(left=("a",), right=(1,), edges=())
-    assert max_bipartite_matching(none) == {}
+def test_saturate_on_known_instances():
+    assert _saturate(0, [0b1]) == {}
+    assert _saturate(0b11, [0b01, 0b11]) == {0: 0, 1: 1}
+    # color 1 reaches only provider 0, so color 0 moves on to provider 1
+    assert _saturate(0b11, [0b11, 0b01]) == {0: 1, 1: 0}
+    # colors outside r are never matched
+    assert _saturate(0b10, [0b11, 0b01]) == {0: 1}
+    # colors 1 and 2 share their one provider
+    assert _saturate(0b111, [0b001, 0b001, 0b110]) is None
+    assert _saturate(0b100, [0b011]) is None
 
 
-def test_bipartite_matching_validates_labels():
-    with pytest.raises(ValueError):
-        BipartiteGraph(left=("a",), right=(1,), edges=(("a", 2),))
-    with pytest.raises(ValueError):
-        BipartiteGraph(left=("a", "a"), right=(1,), edges=())
+def test_saturate_pairs_like_the_recursive_search():
+    rng = random.Random(12)
+    saturated = 0
+    for _ in range(400):
+        colors = rng.randint(1, 7)
+        offers = [rng.getrandbits(colors) for _ in range(rng.randint(1, 7))]
+        r = rng.getrandbits(colors)
+        left = tuple(_bits(r))
+        ref = ref_max_bipartite_matching(left, [
+            (c, p) for c in left for p, offer in enumerate(offers) if offer >> c & 1
+        ])
+        got = _saturate(r, offers)
+        if len(ref) < len(left):
+            assert got is None
+        else:
+            assert list(got.items()) == [(p, c) for c, p in ref.items()]
+            saturated += 1
+    # both outcomes occur often
+    assert min(saturated, 400 - saturated) > 100
 
 
 @st.composite
-def bipartite_instances(draw):
-    nl = draw(st.integers(min_value=1, max_value=5))
-    nr = draw(st.integers(min_value=1, max_value=5))
-    pairs = [(a, b) for a in range(nl) for b in range(nr)]
-    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))
-    return BipartiteGraph(
-        left=tuple(range(nl)),
-        right=tuple(f"r{b}" for b in range(nr)),
-        edges=tuple((a, f"r{b}") for a, b in sorted(edges)),
-    )
+def saturate_instances(draw):
+    colors = draw(st.integers(min_value=1, max_value=6))
+    masks = st.integers(min_value=0, max_value=(1 << colors) - 1)
+    return draw(masks), draw(st.lists(masks, min_size=1, max_size=6))
 
 
 @settings(max_examples=80, deadline=None)
-@given(bipartite_instances())
-def test_bipartite_matching_is_maximum(bg):
-    pairing = max_bipartite_matching(bg)
-    # pairing is a matching over the instance's edges
-    assert len(set(pairing.values())) == len(pairing)
-    for a, b in pairing.items():
-        assert (a, b) in bg.edges
-    # maximum size checked against brute force over every matching: each
-    # left vertex in turn takes a free neighbor or stays unmatched, at most
-    # 6**5 leaves where the edge subsets number up to 2**25
-    adj = {a: [b for x, b in bg.edges if x == a] for a in bg.left}
-
-    def best(i, used):
-        if i == len(bg.left):
-            return 0
-        top = best(i + 1, used)
-        for b in adj[bg.left[i]]:
-            if b not in used:
-                top = max(top, 1 + best(i + 1, used | {b}))
-        return top
-
-    assert len(pairing) == best(0, frozenset())
+@given(saturate_instances())
+def test_saturate_fails_exactly_when_hall_fails(instance):
+    r, offers = instance
+    got = _saturate(r, offers)
+    left = list(_bits(r))
+    # Hall: every set of colors of r has at least as many providers
+    hall = all(
+        sum(1 for offer in offers if offer & sum(1 << c for c in subset))
+        >= size
+        for size in range(1, len(left) + 1)
+        for subset in combinations(left, size)
+    )
+    assert (got is not None) == hall
+    if got is not None:
+        assert sorted(got.values()) == left
+        for p, c in got.items():
+            assert offers[p] >> c & 1
 
 
-def test_bipartite_matching_follows_a_long_augmenting_chain():
-    # left 0 sees right 0 and left i sees right i-1, then right i: left i
-    # first walks the alternating path down to left 0 before it takes
-    # right i, a path of length about 2i
+def test_saturate_follows_a_long_augmenting_chain():
+    # color 0 sees provider 0 and color i sees providers i-1 and i: color i
+    # first walks the alternating path down to color 0 before it takes
+    # provider i, a path of length about 2i
     n = 3000
-    edges = [(0, 0)] + [(i, j) for i in range(1, n) for j in (i - 1, i)]
-    bg = BipartiteGraph(left=tuple(range(n)), right=tuple(range(n)),
-                        edges=tuple(edges))
-    pairing = max_bipartite_matching(bg)
-    assert len(pairing) == n
-    assert len(set(pairing.values())) == n
-
-
-def test_bipartite_matching_pairs_like_the_recursive_search():
-    rng = random.Random(12)
-    for _ in range(400):
-        nl, nr = rng.randint(1, 7), rng.randint(1, 7)
-        pairs = [(a, b) for a in range(nl) for b in range(nr)]
-        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
-        left = rng.sample(range(nl), nl)
-        bg = BipartiteGraph(left=tuple(left), right=tuple(range(nr)),
-                            edges=tuple(edges))
-        got = max_bipartite_matching(bg)
-        assert list(got.items()) == list(ref_max_bipartite_matching(bg).items())
+    offers = [1 << p | 1 << (p + 1) for p in range(n)]
+    got = _saturate((1 << n) - 1, offers)
+    assert got == {p: p for p in range(n)}
