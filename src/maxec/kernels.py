@@ -1,18 +1,21 @@
 """Instance shrinking that preserves the threshold question.
 
-Three independent rule sets, each returning a verdict plus enough lifting
+Three rule sets, each returning a verdict plus enough lifting
 information to pull a valid coloring of the reduced graph back to the
 original:
 
 * standard: after matching preprocessing, vertices outside the cover with
-  identical neighborhoods are interchangeable, so each neighborhood class
-  keeps only a bounded number of members;
+  identical neighborhoods T are interchangeable twins, so each
+  neighborhood class keeps only its max(10, |T| + 1) lowest members;
 * dual (threshold n - k for the deficit k): a graph with a vertex of degree
   above 3k + 6 is a No-instance, and an adjacent pair of degree-2 vertices
   can be contracted, shifting the optimum down by exactly one; the
   contractions run in one linear ascending pass;
-* four-cycle-free: private degree-1 neighbors of a cover vertex beyond the
-  second are redundant, and the optimum is preserved exactly.
+* four-cycle-free: the standard rule's body (``_trim_twins``) with the
+  bound 2|T|, which keeps the optimum exactly. Two outside vertices
+  sharing two neighbors would close a 4-cycle, so only isolated vertices
+  (bound 0) and private leaves beyond a cover vertex's two lowest
+  (bound 2) go.
 
 Every rule compacts its reduced graph with ``Graph.without_vertices``, so
 reduced graphs are renumbered to contiguous ids; ``Lifting.vertex_map``
@@ -28,7 +31,6 @@ from .graphs import EdgeColoring, Graph, verify_coloring
 from .matching import Continue, ForcedNo, ForcedYes, matching_preprocess
 
 CLASS_FLOOR = 10
-PRIVATE_KEEP = 2
 
 
 class FourCycleError(ValueError):
@@ -94,24 +96,28 @@ class NeighborhoodClass:
 
 
 def neighborhood_classes(g: Graph, cover) -> tuple[NeighborhoodClass, ...]:
-    """Partition of the non-cover vertices by neighborhood, sorted by T.
+    """Partition of the non-cover vertices by neighborhood, sorted by T;
+    members ascend.
 
     Requires ``cover`` to be a vertex cover so the neighborhoods are
     subsets of it.
     """
     inside = set(cover)
     groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
+    for v, entries in enumerate(g.adj):
         if v in inside:
             continue
-        t = tuple(sorted(g.neighbors(v)))
-        if any(w not in inside for w in t):
+        t = tuple(sorted([w for _, w in entries]))
+        if not inside.issuperset(t):
             raise ValueError("the given set is not a vertex cover")
         groups.setdefault(t, []).append(v)
     return tuple(
-        NeighborhoodClass(t, tuple(sorted(vs)))
-        for t, vs in sorted(groups.items())
+        NeighborhoodClass(t, tuple(vs)) for t, vs in sorted(groups.items())
     )
+
+
+def _standard_bound(size: int) -> int:
+    return max(CLASS_FLOOR, size + 1)
 
 
 def kernelize_standard(g: Graph, k: int) -> KernelResult:
@@ -124,24 +130,34 @@ def kernelize_standard(g: Graph, k: int) -> KernelResult:
     """
     if k < 2:
         raise ValueError("color target must be at least 2")
+    return _trim_twins(g, k, _standard_bound)
+
+
+def _trim_twins(g: Graph, k: int, bound) -> KernelResult:
+    """Matching preprocessing, then each neighborhood class cut to
+    ``bound(|T|)`` members, compacted."""
     pre = matching_preprocess(g, k)
     if isinstance(pre, (ForcedNo, ForcedYes)):
         return KernelResult(pre, None)
     assert isinstance(pre, Continue)
-    return _compact(g, k, _twin_deletions(g, pre.cover))
+    return _compact(g, k, _twin_deletions(g, pre.cover, bound))
 
 
-def _twin_deletions(g: Graph, cover) -> list[tuple]:
-    """The standard rule's deletions, ascending by vertex."""
-    if g.n - len(cover) <= CLASS_FLOOR:  # then no class can pass its bound
+def _twin_deletions(g: Graph, cover, bound=_standard_bound) -> list[tuple]:
+    """Deletions that keep the ``bound(|T|)`` lowest members of each
+    neighborhood class, ascending by vertex. A deleted vertex copies the
+    lowest member, or nothing when T is empty."""
+    # both bounds grow with |T|: if the whole outside fits bound(0), so
+    # does every class
+    if g.n - len(cover) <= bound(0):
         return []
     actions = []
     for cls in neighborhood_classes(g, cover):
-        bound = max(CLASS_FLOOR, len(cls.T) + 1)
-        if len(cls.members) <= bound:
+        keep = bound(len(cls.T))
+        if len(cls.members) <= keep:
             continue
         twin = cls.members[0] if cls.T else None
-        actions.extend(("del", v, twin) for v in cls.members[bound:])
+        actions.extend(("del", v, twin) for v in cls.members[keep:])
     actions.sort(key=lambda a: a[1])
     return actions
 
@@ -176,38 +192,22 @@ def has_c4(g: Graph):
 
 
 def kernelize_c4free(g: Graph, k: int) -> KernelResult:
-    """Trim private degree-1 neighbors of cover vertices to two apiece.
+    """The twin rule with bound 2|T|, on graphs without a 4-cycle.
 
-    Only meaningful without 4-cycles (otherwise refused): then distinct
-    cover vertices share at most one neighbor, so degree-1 neighbors
-    dominate the outside and the trim caps the instance at 2k(2k+2)
-    vertices. Two survivors per cover vertex are enough to replay any
-    palette the deleted ones supported, so the optimum is preserved
-    exactly. Isolated vertices are dropped as well.
+    Cutting a neighborhood class I_T to 2|T| members keeps the optimum:
+    the colors only the class's edges show lie in the palettes of T, so
+    2|T| twins can show them all, and a deleted twin copies a kept one's
+    colors. Graphs with a 4-cycle are refused. Without one, two outside
+    vertices sharing two neighbors would close a 4-cycle, so only isolated
+    vertices (bound 0) and private leaves beyond a cover vertex's two
+    lowest (bound 2) go, and the instance is capped at 2k(2k+2) vertices.
     """
     if k < 2:
         raise ValueError("color target must be at least 2")
     cycle = has_c4(g)
     if cycle is not None:
         raise FourCycleError(cycle)
-    pre = matching_preprocess(g, k)
-    if isinstance(pre, (ForcedNo, ForcedYes)):
-        return KernelResult(pre, None)
-    assert isinstance(pre, Continue)
-    inside = set(pre.cover)
-    actions = []
-    for v in sorted(inside):
-        private = sorted(
-            w for w in g.neighbors(v)
-            if w not in inside and g.degree(w) == 1
-        )
-        twin = private[0] if private else None
-        actions.extend(("del", w, twin) for w in private[PRIVATE_KEEP:])
-    actions.extend(
-        ("del", v, None) for v in range(g.n) if v not in inside and g.degree(v) == 0
-    )
-    actions.sort(key=lambda a: a[1])
-    return _compact(g, k, actions)
+    return _trim_twins(g, k, lambda size: 2 * size)
 
 
 def _contractible(nbrs: list[set[int]], u: int):

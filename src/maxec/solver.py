@@ -473,8 +473,11 @@ def _settle(g: Graph, tables: _Tables, tau: tuple[int, ...], k: int,
 
     def rec(r: int, commits: dict[int, int]):
         # every caller passes a fresh dict, so rec may fill it in place
+        # force single hits until a sweep forces nothing; that sweep's
+        # first vertex with several hits is the one to branch on
         while True:
-            changed = False
+            forced = False
+            branch = None
             for u in flexible:
                 if u in commits:
                     continue
@@ -482,28 +485,27 @@ def _settle(g: Graph, tables: _Tables, tau: tuple[int, ...], k: int,
                 if len(hits) == 1:
                     commits[u] = hits[0]
                     r &= ~hits[0]
-                    changed = True
-            if not changed:
+                    forced = True
+                elif len(hits) >= 2 and branch is None:
+                    branch = u, hits
+            if not forced:
                 break
-        for u in flexible:
-            if u in commits:
-                continue
-            hits = _best_hits(lists[u], r)
-            if len(hits) >= 2:
-                if len(hits) > ACROSS_BRANCH_LIMIT:
-                    raise AssertionError(
-                        f"crossing branch width {len(hits)} exceeds "
-                        f"{ACROSS_BRANCH_LIMIT}"
-                    )
-                stats.across_branch_events += 1
-                stats.across_branch_max_width = max(
-                    stats.across_branch_max_width, len(hits)
+        if branch is not None:
+            u, hits = branch
+            if len(hits) > ACROSS_BRANCH_LIMIT:
+                raise AssertionError(
+                    f"crossing branch width {len(hits)} exceeds "
+                    f"{ACROSS_BRANCH_LIMIT}"
                 )
-                for y in hits:
-                    res = rec(r & ~y, {**commits, u: y})
-                    if res is not None:
-                        return res
-                return None
+            stats.across_branch_events += 1
+            stats.across_branch_max_width = max(
+                stats.across_branch_max_width, len(hits)
+            )
+            for y in hits:
+                res = rec(r & ~y, {**commits, u: y})
+                if res is not None:
+                    return res
+            return None
         stats.x_guesses += 1
         colors = [_low_bit(a) for a in allowed]
         if not r:
@@ -537,22 +539,14 @@ def _settle(g: Graph, tables: _Tables, tau: tuple[int, ...], k: int,
         a, b = members
         awits = [v for _, v in g.adj[u] if pal[v] >> a & 1]
         bwits = [v for _, v in g.adj[u] if pal[v] >> b & 1]
-        # two distinct witness edges exist: every neighbor witnesses a or b
-        if awits[0] != bwits[0]:
-            va, vb = awits[0], bwits[0]
-        elif len(awits) > 1:
-            vb = bwits[0]
-            va = next(w for w in awits if w != vb)
-        else:
-            va = awits[0]
-            vb = next(w for w in bwits if w != va)
+        # every neighbor witnesses a or b, and distinct neighbors witness
+        # each. Every edge takes its lowest allowed color, a exactly at the
+        # a-witnesses (a < b), except one b-witness vb, which takes b; an
+        # a-witness other than vb is then left unless vb = bwits[0] is the
+        # only one, and bwits[1] exists then
+        vb = bwits[1] if awits == bwits[:1] else bwits[0]
         for eid, v in g.adj[u]:
-            if v == va:
-                colors[eid] = a
-            elif v == vb:
-                colors[eid] = b
-            else:
-                colors[eid] = _low_bit(y & pal[v])
+            colors[eid] = b if v == vb else _low_bit(y & pal[v])
     return colors
 
 

@@ -8,13 +8,19 @@ summed search counters, the widest branch and a SHA-256 over every answer
 in question order (n, edges, k, verdict, witness colors and all
 ``SolveStats`` fields), so that two versions give identical outputs exactly
 when their digests match. A second SHA-256 covers the oracle alone: each
-graph's n, edges, sigma and witness colors, in graph order. Exits 1 on any
-disagreement, or when ``--expect`` or ``--expect-oracle`` names a digest and
-the run gives another one, so that a change to any witness or counter of
-either search is seen. pytest does not collect this file; run it from the
-root of a checkout::
+graph's n, edges, sigma and witness colors, in graph order. A third
+SHA-256 covers the kernels: on each graph, for every k from 0 to n + 1,
+the outcome of ``kernelize_standard``, of ``kernelize_c4free`` (only on
+graphs without a 4-cycle) and of ``kernelize_dual`` at deficit k, each
+outcome being the error raised, the verdict with its witness, or the
+reduced graph with its parameter and lifting. Exits 1 on any
+disagreement, or when ``--expect``, ``--expect-oracle`` or
+``--expect-kernels`` names a digest and the run gives another one, so
+that a change to any witness or counter of either search, or to any
+kernel output, is seen. pytest does not collect this file; run it from
+the root of a checkout::
 
-    PYTHONPATH=src python tests/differential.py [--expect SHA256] [--expect-oracle SHA256]
+    PYTHONPATH=src python tests/differential.py [--expect SHA256] [--expect-oracle SHA256] [--expect-kernels SHA256]
 """
 
 from __future__ import annotations
@@ -26,7 +32,32 @@ import time
 from dataclasses import asdict
 
 from brutes import graphs_upto_seven
-from maxec import sigma_exact, solve_exact
+from maxec import (
+    ForcedYes,
+    Reduced,
+    has_c4,
+    kernelize_c4free,
+    kernelize_dual,
+    kernelize_standard,
+    sigma_exact,
+    solve_exact,
+)
+
+
+def kernel_outcome(kernelize, g, k):
+    """What one kernel call gives, in a form that ``repr`` pins down."""
+    try:
+        res = kernelize(g, k)
+    except ValueError as exc:
+        return type(exc).__name__
+    verdict = res.verdict
+    if isinstance(verdict, Reduced):
+        lifting = res.lifting
+        return ("reduced", verdict.graph.n, verdict.graph.edges, verdict.k,
+                lifting.vertex_map, lifting.actions)
+    if isinstance(verdict, ForcedYes):
+        return ("yes", list(verdict.witness))
+    return ("no",)
 
 
 def main() -> int:
@@ -35,6 +66,8 @@ def main() -> int:
                         help="exit 1 unless the digest equals this one")
     parser.add_argument("--expect-oracle", metavar="SHA256",
                         help="exit 1 unless the oracle's digest equals this one")
+    parser.add_argument("--expect-kernels", metavar="SHA256",
+                        help="exit 1 unless the kernels' digest equals this one")
     args = parser.parse_args()
     start = time.perf_counter()
     questions = 0
@@ -43,7 +76,16 @@ def main() -> int:
     widest = 0
     digest = hashlib.sha256()
     oracle_digest = hashlib.sha256()
+    kernel_digest = hashlib.sha256()
+    kernel_calls = 0
     for g in graphs_upto_seven():
+        rules = [kernelize_standard, kernelize_dual]
+        if has_c4(g) is None:
+            rules.insert(1, kernelize_c4free)
+        for k in range(g.n + 2):
+            outcomes = [kernel_outcome(rule, g, k) for rule in rules]
+            kernel_calls += len(rules)
+            kernel_digest.update(repr((g.n, g.edges, k, outcomes)).encode())
         best = sigma_exact(g, edge_limit=None)
         sigma = best.sigma
         oracle_digest.update(repr((g.n, g.edges, sigma, best.witness.colors)).encode())
@@ -63,13 +105,15 @@ def main() -> int:
         print(f"disagree: n={n} edges={edges} k={k} sigma={sigma}")
     counters = ", ".join(f"{name} {value:,}" for name, value in totals.items())
     print(f"{questions:,} questions, {len(wrong)} disagreements; {counters}; "
-          f"across_branch_max_width {widest}; "
+          f"across_branch_max_width {widest}; {kernel_calls:,} kernel calls; "
           f"{time.perf_counter() - start:.1f} s")
     print(f"sha256 {digest.hexdigest()}")
     print(f"oracle sha256 {oracle_digest.hexdigest()}")
+    print(f"kernel sha256 {kernel_digest.hexdigest()}")
     failed = bool(wrong)
     for name, got, want in (("digest", digest, args.expect),
-                            ("oracle digest", oracle_digest, args.expect_oracle)):
+                            ("oracle digest", oracle_digest, args.expect_oracle),
+                            ("kernel digest", kernel_digest, args.expect_kernels)):
         if want is not None and got.hexdigest() != want:
             print(f"{name} differs from the expected {want}")
             failed = True

@@ -282,6 +282,13 @@ class TestKernel:
         assert out == ""
         assert err.startswith("refused:")
 
+    def test_c4free_checks_the_target_before_the_square(self, cli):
+        code, out, err = cli(
+            "kernel", "--rule", "c4free", "--k", "1", stdin=render_graph(SQUARE)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_rule_is_required(self, cli):
         code, _, _ = cli("kernel", "--k", "2", stdin=render_graph(TRIANGLE))
         assert code == 2

@@ -12,6 +12,7 @@ from maxec import (
     ForcedYes,
     Graph,
     gen_two_factor,
+    matching_coloring,
     sigma_exact,
     solve_exact,
     verify_coloring,
@@ -339,6 +340,67 @@ class TestC4FreeKernel:
     def test_rejects_tiny_target(self):
         with pytest.raises(ValueError):
             kernelize_c4free(P5, 0)
+
+    def test_tiny_target_is_checked_before_the_square(self):
+        with pytest.raises(ValueError) as err:
+            kernelize_c4free(C4, 1)
+        assert not isinstance(err.value, FourCycleError)
+        with pytest.raises(FourCycleError):
+            kernelize_c4free(C4, 2)
+
+    @staticmethod
+    def _hub_graph(rng):
+        """Hubs with private leaves, one connector per hub pair and a few
+        isolated vertices, relabeled at random: no two vertices share two
+        neighbors, so the graph has no 4-cycle."""
+        hubs = rng.randint(3, 5)
+        edges = []
+        n = hubs
+        for a, b in itertools.combinations(range(hubs), 2):
+            edges += [(a, n), (b, n)]
+            n += 1
+        for hub in range(hubs):
+            for _ in range(rng.randint(0, 6)):
+                edges.append((hub, n))
+                n += 1
+        n += rng.randint(0, 3)
+        label = list(range(n))
+        rng.shuffle(label)
+        rng.shuffle(edges)
+        return hubs, Graph(n, [(label[a], label[b]) for a, b in edges])
+
+    def test_hub_graphs_lose_exactly_the_surplus_twins(self):
+        # the 2|T| bound: isolated vertices go, each cover vertex keeps its
+        # two lowest private leaves, and deleted leaves copy the lowest one
+        rng = random.Random(5)
+        deleted = 0
+        for _ in range(40):
+            hubs, g = self._hub_graph(rng)
+            assert has_c4(g) is None
+            k = hubs + 2  # every edge meets a hub, so r <= hubs = k - 2
+            pre = matching_preprocess(g, k)
+            assert isinstance(pre, Continue)
+            inside = set(pre.cover)
+            want = []
+            for v in pre.cover:
+                leaves = sorted(w for w in g.neighbors(v)
+                                if w not in inside and g.degree(w) == 1)
+                want += [("del", w, leaves[0]) for w in leaves[2:]]
+            want += [("del", v, None) for v in range(g.n) if g.degree(v) == 0]
+            res = kernelize_c4free(g, k)
+            assert isinstance(res.verdict, Reduced)
+            assert res.lifting.actions == tuple(sorted(want, key=lambda a: a[1]))
+            deleted += len(want)
+            reduced = res.verdict.graph
+            assert reduced.n == g.n - len(want)
+            # lift_coloring verifies what it returns
+            base = matching_coloring(reduced)
+            assert lift_coloring(g, reduced, res.lifting, base).k == base.k
+            found = solve_exact(reduced, k)
+            if found.yes:
+                lifted = lift_coloring(g, reduced, res.lifting, found.witness)
+                assert verify_coloring(g, lifted).colors_used == k
+        assert deleted > 100
 
 
 class TestLiftingErrors:
