@@ -6,16 +6,15 @@ original:
 
 * standard: after matching preprocessing, vertices outside the cover with
   identical neighborhoods T are interchangeable twins, so each
-  neighborhood class keeps only its max(10, |T| + 1) lowest members;
+  neighborhood class keeps only its max(2, |T|) lowest members, or none
+  when T is empty (``_twin_deletions`` proves the bound);
 * dual (threshold n - k for the deficit k): a graph with a vertex of degree
   above 3k + 6 is a No-instance, and an adjacent pair of degree-2 vertices
   can be contracted, shifting the optimum down by exactly one; the
   contractions run in one linear ascending pass;
-* four-cycle-free: the standard rule's body (``_trim_twins``) with the
-  bound 2|T|, which keeps the optimum exactly. Two outside vertices
-  sharing two neighbors would close a 4-cycle, so only isolated vertices
-  (bound 0) and private leaves beyond a cover vertex's two lowest
-  (bound 2) go.
+* four-cycle-free: the standard rule, on graphs without a 4-cycle. There
+  two outside vertices never share two neighbors, so only isolated
+  vertices and private leaves beyond a cover vertex's two lowest go.
 
 Every rule compacts its reduced graph with ``Graph.without_vertices``, so
 reduced graphs are renumbered to contiguous ids; ``Lifting.vertex_map``
@@ -29,8 +28,6 @@ from dataclasses import dataclass
 
 from .graphs import EdgeColoring, Graph, verify_coloring
 from .matching import Continue, ForcedNo, ForcedYes, matching_preprocess
-
-CLASS_FLOOR = 10
 
 
 class FourCycleError(ValueError):
@@ -116,46 +113,63 @@ def neighborhood_classes(g: Graph, cover) -> tuple[NeighborhoodClass, ...]:
     )
 
 
-def _standard_bound(size: int) -> int:
-    return max(CLASS_FLOOR, size + 1)
-
-
 def kernelize_standard(g: Graph, k: int) -> KernelResult:
     """Bound every neighborhood class outside the cover.
 
     Matching preprocessing may settle the instance outright. Otherwise
-    each class I_T keeps its max(10, |T|+1) lowest members; the survivors
-    can replay any role a deleted twin had, so the threshold question is
-    unchanged and the parameter stays k.
+    each class I_T keeps its max(2, |T|) lowest members, or none when T is
+    empty; the survivors can show every color a deleted twin showed alone,
+    so the threshold question is unchanged and the parameter stays k.
     """
     if k < 2:
         raise ValueError("color target must be at least 2")
-    return _trim_twins(g, k, _standard_bound)
-
-
-def _trim_twins(g: Graph, k: int, bound) -> KernelResult:
-    """Matching preprocessing, then each neighborhood class cut to
-    ``bound(|T|)`` members, compacted."""
     pre = matching_preprocess(g, k)
     if isinstance(pre, (ForcedNo, ForcedYes)):
         return KernelResult(pre, None)
     assert isinstance(pre, Continue)
-    return _compact(g, k, _twin_deletions(g, pre.cover, bound))
+    return _compact(g, k, _twin_deletions(g, pre.cover))
 
 
-def _twin_deletions(g: Graph, cover, bound=_standard_bound) -> list[tuple]:
-    """Deletions that keep the ``bound(|T|)`` lowest members of each
-    neighborhood class, ascending by vertex. A deleted vertex copies the
-    lowest member, or nothing when T is empty."""
-    # both bounds grow with |T|: if the whole outside fits bound(0), so
-    # does every class
-    if g.n - len(cover) <= bound(0):
-        return []
+def _twin_deletions(g: Graph, cover) -> list[tuple]:
+    """Deletions that keep the max(2, |T|) lowest members of each
+    neighborhood class I_T, or none when T is empty, ascending by vertex.
+    A deleted vertex copies the lowest member, or nothing when T is empty.
+
+    The bound keeps the optimum. A deleted twin that copies a kept twin's
+    colors changes no palette, so deleting never raises the optimum. An
+    isolated vertex carries no color, so a class with T empty goes whole.
+    Otherwise fix an optimal coloring and a class with s = |T| >= 1, and
+    call a color private when only the class's edges carry it. Twins are
+    independent and interchangeable: permuting their edge colors keeps
+    every palette. So max(2, s) twins that together show every private
+    color can move to the lowest members, and the others can go: every
+    other color stays on an edge outside the class, and palettes only
+    shrink. Each twin's palette Q has at most 2 colors and meets pal(t)
+    for every t in T, and every color of a Q lies in the union of the
+    pal(t).
+
+    * Two of the pal(t) are disjoint. Each Q takes one color from each of
+      them, so every Q lies inside the same 4 colors, and the Q form a
+      bipartite graph on at most 2 + 2 colors. Restricted to the colors
+      some twin shows, it has no isolated vertex, so 2 of its edges
+      cover it (a perfect matching when both sides hold 2 colors), and 2
+      twins are enough.
+    * The pal(t) pairwise meet, but no color is in all of them. Then they
+      are the 3 edges of a triangle, every Q is one of those edges, and 2
+      twins are enough.
+    * Some color a is in every pal(t). If some Q lacks a, every pal(t) is
+      a plus a color of Q, so every color involved is a or in Q, and Q's
+      twin with one twin showing a is enough. Otherwise every Q is a
+      plus at most one other color, which fills some pal(t) next to a.
+      There are at most s other colors, so s twins are enough.
+
+    The bound is tight. The star K_{1,3}, cut at its center, needs 2
+    leaves (s = 1). A triangle with three twins joined to all of it has
+    sigma = 4, and sigma falls to 3 with two twins (s = 3).
+    """
     actions = []
     for cls in neighborhood_classes(g, cover):
-        keep = bound(len(cls.T))
-        if len(cls.members) <= keep:
-            continue
+        keep = max(2, len(cls.T)) if cls.T else 0
         twin = cls.members[0] if cls.T else None
         actions.extend(("del", v, twin) for v in cls.members[keep:])
     actions.sort(key=lambda a: a[1])
@@ -192,22 +206,20 @@ def has_c4(g: Graph):
 
 
 def kernelize_c4free(g: Graph, k: int) -> KernelResult:
-    """The twin rule with bound 2|T|, on graphs without a 4-cycle.
+    """The standard rule, on graphs without a 4-cycle.
 
-    Cutting a neighborhood class I_T to 2|T| members keeps the optimum:
-    the colors only the class's edges show lie in the palettes of T, so
-    2|T| twins can show them all, and a deleted twin copies a kept one's
-    colors. Graphs with a 4-cycle are refused. Without one, two outside
-    vertices sharing two neighbors would close a 4-cycle, so only isolated
-    vertices (bound 0) and private leaves beyond a cover vertex's two
-    lowest (bound 2) go, and the instance is capped at 2k(2k+2) vertices.
+    Graphs with a 4-cycle are refused. Without one, two outside vertices
+    sharing two neighbors would close a 4-cycle, so a class with |T| >= 2
+    has one member and stays whole. Only isolated vertices and private
+    leaves beyond a cover vertex's two lowest go, and the instance is
+    capped at 2k(2k+2) vertices.
     """
     if k < 2:
         raise ValueError("color target must be at least 2")
     cycle = has_c4(g)
     if cycle is not None:
         raise FourCycleError(cycle)
-    return _trim_twins(g, k, lambda size: 2 * size)
+    return kernelize_standard(g, k)
 
 
 def _contractible(nbrs: list[set[int]], u: int):

@@ -2,9 +2,10 @@
 
 The route is preprocess, twin trim, search, lift. Matching preprocessing
 settles easy instances. Otherwise the standard kernel's twin rule
-(``kernels._twin_deletions``) deletes surplus twins outside the matched
-cover, the rest is decided, and ``lift_coloring`` copies their colors back;
-the trim keeps the greedy matching, so it fires once. The search runs
+(``kernels._twin_deletions``) cuts each class of twins outside the matched
+cover to max(2, |T|) members, keeping isolated vertices, the rest is
+decided, and ``lift_coloring`` copies the deleted twins' colors back; the
+trim keeps the greedy matching, so it fires once. The search runs
 over a minimum vertex cover S, found by ``_min_cover`` with the 2r matched
 endpoints as its first incumbent, so |S| <= 2r <= 2k - 4. No step needs S
 to come from a matching: palettes sit on cover vertices, and every other
@@ -580,7 +581,9 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
     if isinstance(pre, ForcedYes):
         return SolveResult(True, pre.witness, stats)
     assert isinstance(pre, Continue)
-    if actions := _twin_deletions(g, pre.cover):
+    # an isolated vertex is never a cut vertex, so deleting it saves the
+    # search nothing: the trim keeps them
+    if actions := [a for a in _twin_deletions(g, pre.cover) if a[2] is not None]:
         kern = _compact(g, k, actions)
         res = solve_exact(kern.verdict.graph, k)
         if not res.yes:

@@ -258,13 +258,14 @@ class TestKernel:
             "kernel", "--rule", "standard", "--k", "4", "-o", str(out), str(graph)
         )
         assert code == 0
-        assert stdout == "REDUCED n=22 m=21 k=4\n"
+        # each hub keeps two of its twelve leaves
+        assert stdout == "REDUCED n=6 m=5 k=4\n"
         reduced = load_graph(out.read_text())
-        assert reduced.n == 22 and reduced.m == 21
+        assert reduced.n == 6 and reduced.m == 5
         sidecar = (tmp_path / "red.gr.lift").read_text().splitlines()
-        assert sidecar[0] == "p lift 26 22"
-        assert sum(1 for line in sidecar if line.startswith("m ")) == 22
-        assert sum(1 for line in sidecar if line.startswith("del ")) == 4
+        assert sidecar[0] == "p lift 26 6"
+        assert sum(1 for line in sidecar if line.startswith("m ")) == 6
+        assert sum(1 for line in sidecar if line.startswith("del ")) == 20
 
     def test_dual_contracts_a_cycle(self, cli):
         code, out, _ = cli(

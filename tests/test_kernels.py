@@ -27,7 +27,8 @@ from maxec.kernels import (
     lift_coloring,
     neighborhood_classes,
 )
-from maxec.matching import Continue, matching_preprocess
+from maxec.matching import Continue, matching_preprocess, maximal_matching
+from maxec.solver import _min_cover
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -63,12 +64,13 @@ class TestStandardKernel:
         res = kernelize_standard(g, 4)
         assert isinstance(res.verdict, Reduced)
         reduced = res.verdict.graph
-        assert reduced.n == 12 and reduced.m == 11
+        # the matched cover is {0, 1}, and the 29 other leaves keep two
+        assert reduced.n == 4 and reduced.m == 3
         assert res.verdict.k == 4
-        assert len(res.lifting.actions) == 19
+        assert len(res.lifting.actions) == 27
         lines = res.lifting.sidecar(g.n).splitlines()
-        assert lines[0] == "p lift 31 12" and len(lines) == 1 + 12 + 19
-        assert all(line.startswith("del ") for line in lines[13:])
+        assert lines[0] == "p lift 31 4" and len(lines) == 1 + 4 + 27
+        assert all(line.startswith("del ") for line in lines[5:])
         # the answer is unchanged: a star never reaches 4 colors
         assert sigma_exact(reduced).sigma == 2
         assert sigma_exact(reduced).sigma < 4
@@ -127,8 +129,81 @@ class TestStandardKernel:
                     inv = {orig: i for i, orig in enumerate(res.lifting.vertex_map)}
                     mapped = tuple(inv[v] for v in pre.cover)
                     for cls in neighborhood_classes(reduced, mapped):
-                        assert len(cls.members) <= max(10, len(cls.T) + 1)
+                        assert len(cls.members) <= _twin_bound(len(cls.T))
         assert seen_reduced > 0
+
+
+def _cut_classes(g, cover, bound):
+    """g without the members beyond ``bound(|T|)`` of each neighborhood
+    class I_T outside ``cover``, and how many went."""
+    doomed = []
+    for cls in neighborhood_classes(g, cover):
+        doomed += cls.members[bound(len(cls.T)):]
+    return g.without_vertices(doomed)[0], len(doomed)
+
+
+def _twin_bound(size):
+    return max(2, size) if size else 0
+
+
+def _twin_hub_graph(rng):
+    """2-3 hubs, each hub pair joined at random, and two twin classes on
+    distinct hub sets, each one or two members past the class bound, plus
+    up to 2 isolated vertices, relabeled at random."""
+    hubs = rng.randint(2, 3)
+    edges = [e for e in itertools.combinations(range(hubs), 2)
+             if rng.random() < 0.5]
+    n = hubs
+    sets = [t for size in range(1, hubs + 1)
+            for t in itertools.combinations(range(hubs), size)]
+    for t in rng.sample(sets, 2):
+        for _ in range(_twin_bound(len(t)) + rng.randint(1, 2)):
+            edges += [(hub, n) for hub in t]
+            n += 1
+    n += rng.randint(0, 2)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[a], label[b]) for a, b in edges])
+
+
+class TestTwinBound:
+    """Cutting every class I_T to max(2, |T|) members, none when T is
+    empty, keeps sigma, over the matched cover and a minimum one."""
+
+    def test_cut_keeps_sigma(self):
+        small = [g for n in range(7) for g in graphs(n)]
+        hubs = (_twin_hub_graph(random.Random(seed)) for seed in itertools.count())
+        # hub draws with up to 16 edges keep the oracle fast
+        hubs = itertools.islice((g for g in hubs if g.m <= 16), 300)
+        cut = 0
+        for g in itertools.chain(small, hubs):
+            matched = tuple(sorted(maximal_matching(g).saturated))
+            sigma = None
+            for cover in dict.fromkeys((matched, _min_cover(g, matched))):
+                h, gone = _cut_classes(g, cover, _twin_bound)
+                if gone:
+                    cut += 1
+                    if sigma is None:
+                        sigma = sigma_exact(g, edge_limit=None).sigma
+                    assert sigma_exact(h, edge_limit=None).sigma == sigma, \
+                        (g.edges, cover)
+        assert cut > 500
+
+    def test_one_twin_fewer_loses_a_color(self):
+        # K_{1,3} cut at its center (|T| = 1), and a triangle with three
+        # twins joined to all of it (|T| = 3)
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        twins = Graph(6, [(0, 1), (0, 2), (1, 2)]
+                      + [(t, v) for t in range(3) for v in (3, 4, 5)])
+        for g, cover, kept in ((star, (0,), 2), (twins, (0, 1, 2), 3)):
+            sigma = sigma_exact(g).sigma
+            h, _ = _cut_classes(g, cover, _twin_bound)
+            assert h.n == len(cover) + kept
+            assert sigma_exact(h).sigma == sigma
+            h, _ = _cut_classes(g, cover, lambda size: _twin_bound(size) - 1)
+            assert h.n == len(cover) + kept - 1
+            assert sigma_exact(h).sigma == sigma - 1
+        assert sigma_exact(twins).sigma == 4
 
 
 class TestDualKernel:
@@ -370,8 +445,8 @@ class TestC4FreeKernel:
         return hubs, Graph(n, [(label[a], label[b]) for a, b in edges])
 
     def test_hub_graphs_lose_exactly_the_surplus_twins(self):
-        # the 2|T| bound: isolated vertices go, each cover vertex keeps its
-        # two lowest private leaves, and deleted leaves copy the lowest one
+        # without a 4-cycle, isolated vertices go, each cover vertex keeps
+        # its two lowest private leaves, and deleted leaves copy the lowest
         rng = random.Random(5)
         deleted = 0
         for _ in range(40):

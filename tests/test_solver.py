@@ -27,7 +27,7 @@ from maxec import (
     verify_coloring,
 )
 from maxec.generators import gen_random
-from maxec.kernels import _twin_deletions
+from maxec.kernels import _compact, _twin_deletions, lift_coloring
 from maxec.matching import Continue, matching_preprocess, maximal_matching
 from maxec.solver import (
     _cover_order,
@@ -92,8 +92,9 @@ class TestKnownInstances:
 def _twin_heavy(seed):
     """A 5-vertex random core, two groups of 11-13 leaves, each on a core
     vertex the greedy matching covers, and on odd seeds 11 isolated
-    vertices: each leaf class and the isolated class pass the twin rule's
-    bound, and pendant folding keeps the oracle fast."""
+    vertices: each leaf class passes the twin rule's bound of 2, the
+    solver keeps the isolated vertices, and pendant folding keeps the
+    oracle fast."""
     rng = random.Random(seed)
     core = gen_random(5, 0.5, seed)
     edges = list(core.edges)
@@ -114,10 +115,13 @@ class TestTwinTrim:
             sigma = sigma_exact(g, edge_limit=None).sigma
             for k in (sigma, sigma + 1):
                 pre = matching_preprocess(g, k)
-                if isinstance(pre, Continue) and _twin_deletions(g, pre.cover):
+                # solve_exact applies only the deletions with a twin
+                if isinstance(pre, Continue) and any(
+                        twin is not None
+                        for _, _, twin in _twin_deletions(g, pre.cover)):
                     trimmed += 1
                 _assert_agrees(g, k)
-        assert trimmed >= 12
+        assert trimmed == 16
 
 
 class TestOracleAgreement:
@@ -346,6 +350,19 @@ class TestCheckAcross:
         assert colors == [0, 1, 0, 2]
         assert (stats.across_branch_events, stats.x_guesses) == (0, 1)
 
+    def test_two_color_witness_takes_the_second_b_witness(self):
+        # cut vertex 4 shows {1, 2} next to palettes {1, 2} (vertex 2) and
+        # {2} (vertex 3): its only 1-witness is also its first 2-witness,
+        # so edge (2, 4) must take 1 and edge (3, 4) takes 2
+        g = Graph(6, [(0, 1), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)])
+        tables = _Tables(g, (0, 1, 2, 3))
+        tau = (1, 3, 6, 4)
+        assert tau in _enum_tau_masks(tables, 3)
+        colors = _settle(g, tables, tau, 3, SolveStats())
+        assert colors == [0, 0, 0, 2, 1, 2]
+        check = verify_coloring(g, EdgeColoring(colors))
+        assert check.valid and check.colors_used == 3
+
 
 def _reference_palettes():
     """Every palette of the reference enumeration without its realizability
@@ -517,38 +534,54 @@ class TestMemoizedSearch:
 
 def _differential_check(g):
     """solve_exact against the loop reference enumeration fed to the same
-    per-palette search, at every k the palette search decides."""
-    searched = 0
+    per-palette search, at every k the palette search decides. Where the
+    twin trim fires, the reference searches the trimmed graph and its
+    witness is lifted back; a trimmed question that the trimmed graph's
+    counts settle (k >= n' or m' < k) gets zero counters and the oracle's
+    verdict. Returns the questions checked and how many were trimmed."""
+    checked = trimmed = 0
     for k in range(2, g.n):
         pre = matching_preprocess(g, k)
         if not isinstance(pre, Continue):
             continue
         res = solve_exact(g, k)
-        order = _cover_order(g, _min_cover(g, pre.cover))
-        colors, ref = ref_palette_search(g, order, k)
         where = f"n={g.n} edges={g.edges} k={k}"
+        checked += 1
+        h = g
+        if actions := [a for a in _twin_deletions(g, pre.cover)
+                       if a[2] is not None]:
+            trimmed += 1
+            kern = _compact(g, k, actions)
+            h = kern.verdict.graph
+            if k >= h.n or h.m < k:
+                assert astuple(res.stats) == astuple(SolveStats()), where
+                want = sigma_exact(g, edge_limit=None).sigma >= k
+                assert res.yes == want, where
+                continue
+        order = _cover_order(h, _min_cover(h, matching_preprocess(h, k).cover))
+        colors, ref = ref_palette_search(h, order, k)
+        if colors is not None and h is not g:
+            lifted = lift_coloring(g, h, kern.lifting, EdgeColoring(colors))
+            colors = list(lifted)
         assert res.yes == (colors is not None), where
         assert (None if res.witness is None else list(res.witness)) == colors, where
-        got = res.stats
-        assert (got.top_branch_events, got.across_branch_events,
-                got.across_branch_max_width) == (
-            ref.top_branch_events, ref.across_branch_events,
-            ref.across_branch_max_width), where
-        assert got.palettes == ref.palettes, where
-        assert got.x_guesses == ref.x_guesses, where
-        searched += 1
-    return searched
+        assert astuple(res.stats) == astuple(ref), where
+    return checked, trimmed
 
 
 class TestPrunedSearch:
     """The memoized search, with its dead-prefix and color-count cuts,
     walks the reference's palettes in the reference's order, so the
     verdict, the witness and every counter equal those of the loop
-    reference."""
+    reference, on the trimmed graph where the twin trim fires."""
 
     def test_small_graphs(self):
-        searched = sum(_differential_check(g) for g in connected_graphs_upto(6))
-        assert searched > 100
+        checked = trimmed = 0
+        for g in connected_graphs_upto(6):
+            got = _differential_check(g)
+            checked += got[0]
+            trimmed += got[1]
+        assert checked > 100 and trimmed > 0
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
     def test_seeded_draws(self, n):
@@ -556,7 +589,7 @@ class TestPrunedSearch:
         for seed in itertools.count():
             g = gen_random(n, 0.25, seed)
             if g.m and len(maximal_matching(g)) <= 3:
-                searched += _differential_check(g)
+                searched += _differential_check(g)[0]
                 drawn += 1
                 if drawn == 6:
                     break
