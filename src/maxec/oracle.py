@@ -55,6 +55,18 @@ which is quadratic.
 
 Connected components are solved independently and summed; the number of
 colors is additive because components can always use disjoint palettes.
+
+The search is a generator with a node budget, one node per pass of its
+loop, so a caller can run it in slices and resume it. It may also start
+from a floor instead of 0 as its best count and stop at the first
+coloring that beats it. ``sigma_exact`` runs it to the end from 0 without
+a budget, so its witness and its cost are those of the plain search.
+``decide`` answers sigma >= k under the default profile for the solver's
+race (``solver._race``): it takes the exact sigma of every component but
+the one with most edges, and asks that one, from the rest of k minus one
+as the floor, for a first coloring that beats it. A NO is exact, since
+the floor then bounds that component's optimum; a YES may show more than
+k colors.
 """
 
 from __future__ import annotations
@@ -94,25 +106,72 @@ def sigma_exact(
     _check_limit(g, edge_limit)
     caps = list(profile.capacities(g.n))
     room = sum(caps)
-    colors: list[int | None] = [None] * g.m
-    core, caps, actions = _fold_pendants(g, caps)
-    total = 0
-    for comp, edge_ids, local_edges, local_caps in _components(core, caps):
-        if not edge_ids:
-            continue
-        best, assign = _search(len(comp), local_edges, local_caps)
-        if assign is None:
-            raise AssertionError("component search returned no coloring")
-        for local_eid, c in enumerate(assign):
-            colors[g.edge_id(*core.edges[edge_ids[local_eid]])] = total + c
-        total += best
-    total = _unfold(g, actions, colors, total)
+    total, colors = _finish(_fold_and_search(g, caps))
     # each color class holds an edge, so it sits in at least two palettes
     if 2 * total > room:
         raise AssertionError("maximum color count exceeded half the capacity sum")
     if any(c is None for c in colors):
         raise AssertionError("some edge was left uncolored")
     return SigmaResult(total, EdgeColoring(colors))
+
+
+def decide(g: Graph, k: int):
+    """Whether sigma(g) >= k under the default profile (module docstring).
+
+    A generator: prime it with ``next``, then send it node budgets. It
+    yields when a budget is spent and, when it finishes, returns the colors
+    per edge of a coloring of g with at least k colors, or None when
+    sigma < k.
+    """
+    left = yield
+    found = yield from _fold_and_search(g, list(DEFAULT_PROFILE.capacities(g.n)), k, left)
+    return None if found is None else found[1]
+
+
+def _finish(search):
+    """The result of a search that has no node budget, so never pauses."""
+    try:
+        next(search)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("a search without a node budget paused")
+
+
+def _fold_and_search(g: Graph, caps: list[int], k: int | None = None, left: int = -1):
+    """Fold pendants, search each component of the core, unfold.
+
+    A generator over ``_search``: ``left`` nodes may run before it yields
+    for the next budget, which comes back as the value of the yield.
+    With k None, every component is searched to its optimum, in component
+    order, and the result is (sigma, colors). With k, the component with
+    most edges goes last and needs only the colors the others and the
+    folds leave to k; the result is then (count, colors) with count >= k,
+    or None.
+    """
+    colors: list[int | None] = [None] * g.m
+    core, caps, actions = _fold_pendants(g, caps)
+    comps = [comp for comp in _components(core, caps) if comp[1]]
+    if k is not None and comps:
+        comps.append(comps.pop(max(range(len(comps)), key=lambda i: len(comps[i][1]))))
+        rest = k - sum(kind == "fresh" for kind, _, _ in actions)
+    total = 0
+    for i, (comp, edge_ids, local_edges, local_caps) in enumerate(comps):
+        deciding = k is not None and i == len(comps) - 1
+        floor = rest - total - 1 if deciding else 0
+        best, assign, left = yield from _search(
+            len(comp), local_edges, local_caps, floor, deciding, left
+        )
+        if assign is None:
+            if deciding:
+                return None
+            raise AssertionError("component search returned no coloring")
+        for local_eid, c in enumerate(assign):
+            colors[g.edge_id(*core.edges[edge_ids[local_eid]])] = total + c
+        total += best
+    total = _unfold(g, actions, colors, total)
+    if k is not None and total < k:
+        return None
+    return total, colors
 
 
 def _check_limit(g: Graph, edge_limit: int | None) -> None:
@@ -210,8 +269,16 @@ def _components(g: Graph, caps):
         yield comp, ids, local_edges, [caps[v] for v in comp]
 
 
-def _search(n: int, edges, caps):
-    """Best class count and an assignment per edge id for one component."""
+def _search(n: int, edges, caps, floor: int = 0, first: bool = False, left: int = -1):
+    """Best class count and an assignment per edge id for one component.
+
+    A generator that returns (best, assignment, budget left). The search
+    starts with ``floor`` as the best count and keeps only assignments
+    that beat it, so the assignment is None when none does; with
+    ``first`` it returns at the first one. Each pass of the loop is one
+    node: once ``left`` nodes have run it yields, and the value sent back
+    is the next budget. A negative ``left`` never runs out.
+    """
     m = len(edges)
     last = [-1] * n  # position of the last edge per vertex
     for pos, (u, v) in enumerate(edges):
@@ -234,13 +301,19 @@ def _search(n: int, edges, caps):
     gained = [0] * m  # undo flags per position: 1 u, 2 v, 4 new class
     owes = [0] * m  # owed bitmask at entry, per position
     rest = [0] * m  # old classes still to try per position
-    best = classes = pos = 0
+    classes = pos = 0
+    best = floor
     best_assign: list[int] | None = None
     while True:
+        left -= 1
+        if not left:
+            left = yield
         a = -1
         if pos == m:
             if classes > best:
                 best, best_assign = classes, assign[:]
+                if first:
+                    return best, best_assign, left
         elif not dead and classes + min(m - pos, (room - owed.bit_count()) // 2) > best:
             u, v = edges[pos]
             ru, rv = size[u] < caps[u], size[v] < caps[v]
@@ -254,7 +327,7 @@ def _search(n: int, edges, caps):
             rest[pos] = 0 if last[u] == pos == last[v] else old
         while a < 0:  # back up to the last position with a class to try
             if pos == 0:
-                return best, best_assign
+                return best, best_assign, left
             pos -= 1
             u, v = edges[pos]
             bit, flags = 1 << assign[pos], gained[pos]

@@ -1,18 +1,34 @@
 """Fixed-parameter search for a 2-valid edge coloring with exactly k colors.
 
-The route is preprocess, twin trim, search, lift. Matching preprocessing
+The route is preprocess, twin trim, race, lift. Matching preprocessing
 settles easy instances. Otherwise the standard kernel's twin rule
 (``kernels._twin_deletions``) cuts each class of twins outside the matched
 cover to max(2, |T|) members, keeping isolated vertices, the rest is
 decided, and ``lift_coloring`` copies the deleted twins' colors back; the
-trim keeps the greedy matching, so it fires once. The search runs
-over a minimum vertex cover S, found by ``_min_cover`` with the 2r matched
-endpoints as its first incumbent, so |S| <= 2r <= 2k - 4. No step needs S
-to come from a matching: palettes sit on cover vertices, and every other
-vertex has all its neighbors in S. The search guesses a palette
-assignment tau giving each cover vertex its final color set (size 1 or 2),
-placing the cover vertices breadth-first (``_cover_order``) so that each
-neighborhood is complete early and the closing rule below fires soon.
+trim keeps the greedy matching, so it fires once.
+
+Two exact engines decide the trimmed graph, because neither beats the
+other on every graph: the oracle's decider (``oracle.decide``) and the
+palette search below. ``_race`` runs them as an algorithm portfolio
+(Gomes and Selman 2001): each is a resumable generator, the two
+alternate on slices of ``_FIRST_SLICE`` nodes and then twice the previous
+slice each time, the oracle first, and the first to finish answers. A
+node is one search position of the oracle and one call of the
+enumeration's ``rec``; the palette search builds its tables inside its
+first slice, so a question that the oracle settles first never pays for
+them. Slices count nodes, so the engine that answers depends only on
+(g, k). A NO from either engine is exact; the oracle's YES may show
+more than k colors and is merged down to k (``compress_colors``), and
+every YES is verified.
+
+The palette search runs over a minimum vertex cover S, found by
+``_min_cover`` with the 2r matched endpoints as its first incumbent, so
+|S| <= 2r <= 2k - 4. No step needs S to come from a matching: palettes
+sit on cover vertices, and every other vertex has all its neighbors in S.
+The search guesses a palette assignment tau giving each cover vertex its
+final color set (size 1 or 2), placing the cover vertices breadth-first
+(``_cover_order``) so that each neighborhood is complete early and the
+closing rule below fires soon.
 For a fixed tau, a witness is one allowed color per cover edge (a color of
 both end palettes) and one candidate color set per cut vertex that
 together show all k colors. ``_settle`` finds one or proves there is none:
@@ -80,9 +96,15 @@ Key facts the implementation leans on (each argued where used):
   matched cover holds no isolated vertex;
 * a color that first appears at cover position p lies on an edge at p,
   and not on an edge to an earlier cover position, whose palette would
-  already hold it. So p introduces at most ``cap[p]`` = min(2, its
-  neighbors that are cut vertices or later cover positions) new colors,
-  and the enumeration gives p no more room than that.
+  already hold it. So p introduces at most min(2, its neighbors that are
+  cut vertices or later cover positions) new colors;
+* a position p with an earlier cover neighbor introduces at most one new
+  color: its palette meets that neighbor's palette, which holds only
+  colors introduced before p, so at most one of its (at most two) colors
+  is new. With the bullet above, p introduces at most ``cap[p]`` =
+  min(1 if it has an earlier cover neighbor else 2, its neighbors that are
+  cut vertices or later cover positions) new colors, and the enumeration
+  gives p no more room than that.
 """
 
 from __future__ import annotations
@@ -90,16 +112,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .graphs import EdgeColoring, Graph, is_two_factor, verify_coloring
+from .graphs import EdgeColoring, Graph, compress_colors, is_two_factor, verify_coloring
 from .kernels import _compact, _twin_deletions, lift_coloring
 from .matching import Continue, ForcedNo, ForcedYes, matching_preprocess
+from .oracle import decide
 
 ACROSS_BRANCH_LIMIT = 4
+# nodes in the first slice of a race (``_race``)
+_FIRST_SLICE = 1 << 10
 
 
 @dataclass
 class SolveStats:
     """Search counters, mainly to audit the branching discipline.
+
+    The counters count the palette search's work, which in
+    ``solve_exact`` stops when the oracle answers first.
 
     ``palettes``: palette assignments enumerated, after the enumeration's
     closing rule has dropped those in which some cover vertex cannot show
@@ -121,9 +149,14 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """``engine`` is the exact engine that answered, "oracle" or
+    "palettes", or None when counting or preprocessing settled the
+    question."""
+
     yes: bool
     witness: EdgeColoring | None
     stats: SolveStats
+    engine: str | None = None
 
 
 def _bits(mask: int):
@@ -212,9 +245,10 @@ class _Tables:
             tuple(index[w] for _, w in g.adj[v] if w in index and index[w] < i)
             for i, v in enumerate(order)
         ]
-        # a neighbor outside earlier[i] is a cut vertex or a later position
+        # a neighbor outside earlier[i] is a cut vertex or a later position,
+        # and an earlier neighbor's palette holds only colors already in
         self.cap = [
-            min(2, g.degree(v) - len(self.earlier[i]))
+            min(1 if self.earlier[i] else 2, g.degree(v) - len(self.earlier[i]))
             for i, v in enumerate(order)
         ]
         self.after = [0] * len(order)
@@ -280,7 +314,7 @@ def _options(t: int, pending: tuple, room: int) -> tuple:
     return tuple(out)
 
 
-def _enum_tau_masks(tables: _Tables, k: int):
+def _enum_tau_masks(tables: _Tables, k: int, left: int = -1):
     """All palette assignments on the cover, one per color-relabeling orbit,
     as tuples of color masks parallel to ``tables.order``.
 
@@ -306,6 +340,10 @@ def _enum_tau_masks(tables: _Tables, k: int):
     The cap and both conditions hold for the exact palettes of every
     witness, and none depends on how colors are labeled, so every witness
     keeps a yielded palette in its orbit.
+
+    Each call of ``rec`` is one node. Once ``left`` nodes have run, the
+    generator yields None, and the value sent back is the next budget; a
+    negative ``left`` never runs out.
     """
     size = len(tables.order)
     earlier = tables.earlier
@@ -335,6 +373,10 @@ def _enum_tau_masks(tables: _Tables, k: int):
         return seen == y and hits >= y.bit_count()
 
     def rec(p: int, t: int, pending):
+        nonlocal left
+        left -= 1
+        if not left:
+            left = yield None
         if p == size:
             if t == k:
                 yield tuple(sets)
@@ -556,8 +598,20 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
 
     Yes comes with a verified witness using exactly k colors (k >= 1; the
     k = 0 question is vacuous and answered with a plain valid coloring).
-    After a twin trim, the counters are those of the trimmed graph.
+    After a twin trim, the counters are those of the trimmed graph. A
+    question that counting or the matching preprocessing leaves open goes
+    to a race (``_race``) of the oracle's decider and the palette search
+    on the trimmed graph; ``engine`` names the one that answered.
     """
+    return _solve(g, k, race=True)
+
+
+def _palette_route(g: Graph, k: int) -> SolveResult:
+    """``solve_exact`` with the palette search as its only engine."""
+    return _solve(g, k, race=False)
+
+
+def _solve(g: Graph, k: int, race: bool) -> SolveResult:
     if k < 0:
         raise ValueError("color count must be nonnegative")
     stats = SolveStats()
@@ -585,21 +639,71 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
     # search nothing: the trim keeps them
     if actions := [a for a in _twin_deletions(g, pre.cover) if a[2] is not None]:
         kern = _compact(g, k, actions)
-        res = solve_exact(kern.verdict.graph, k)
+        res = _solve(kern.verdict.graph, k, race)
         if not res.yes:
             return res
         # lift_coloring checks validity; the color count is checked here
         lifted = lift_coloring(g, kern.verdict.graph, kern.lifting, res.witness)
         if lifted.k != k:
             raise AssertionError("lifted witness failed verification")
-        return SolveResult(True, lifted, res.stats)
-    tables = _Tables(g, _cover_order(g, _min_cover(g, pre.cover)))
-    for tau in _enum_tau_masks(tables, k):
+        return SolveResult(True, lifted, res.stats, res.engine)
+    engines = {"palettes": _palettes(g, pre.cover, k, stats)}
+    if race:
+        engines = {"oracle": decide(g, k), **engines}
+    engine, colors = _race(engines)
+    if colors is None:
+        return SolveResult(False, None, stats, engine)
+    # the oracle's coloring may show more than k colors
+    witness = compress_colors(EdgeColoring(colors), k)
+    return SolveResult(True, _checked(g, witness, k), stats, engine)
+
+
+def _palettes(g: Graph, cover: tuple[int, ...], k: int, stats: SolveStats):
+    """The palette search as an engine of ``_race``. It builds its tables
+    in its first slice, so a race that the oracle wins first never pays
+    for them, then settles each palette that the budgeted enumeration
+    yields. Returns the colors per edge of a witness, or None."""
+    left = yield
+    tables = _Tables(g, _cover_order(g, _min_cover(g, cover)))
+    palettes = _enum_tau_masks(tables, k, left)
+    sent = None
+    while True:
+        try:
+            tau = palettes.send(sent)
+        except StopIteration:
+            return None
+        sent = None
+        if tau is None:
+            sent = yield
+            continue
         stats.palettes += 1
         colors = _settle(g, tables, tau, k, stats)
         if colors is not None:
-            return SolveResult(True, _checked(g, EdgeColoring(colors), k), stats)
-    return SolveResult(False, None, stats)
+            return colors
+
+
+def _race(engines: dict) -> tuple:
+    """Run the engines in turn, in the dict's order, on node-budgeted
+    slices, and return (name, answer) of the first to finish.
+
+    The first slice holds ``_FIRST_SLICE`` nodes and every later slice
+    twice as many as the one before (a doubling schedule, after Luby,
+    Sinclair and Zuckerman 1993). An engine is a generator: primed with
+    ``next``, it takes a node budget through ``send``, yields once that
+    budget is spent, and returns its answer when it finishes. Slices
+    count nodes, not seconds, so the engine that answers, and its answer,
+    depend only on the input.
+    """
+    for engine in engines.values():
+        next(engine)
+    size = _FIRST_SLICE
+    while True:
+        for name, engine in engines.items():
+            try:
+                engine.send(size)
+            except StopIteration as stop:
+                return name, stop.value
+            size *= 2
 
 
 def _min_cover(g: Graph, cover: tuple[int, ...]) -> tuple[int, ...]:

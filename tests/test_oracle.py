@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from brutes import all_capacity_maps, connected_graphs_upto, dumb_sigma
 from maxec import (
+    EdgeColoring,
     Graph,
     OracleLimitError,
     ValidityProfile,
@@ -19,6 +20,7 @@ from maxec import (
     solve_exact,
     verify_coloring,
 )
+from maxec.oracle import decide
 
 # expected values computed by the naive enumerator and checked by hand
 # where feasible (cycles reach n, paths reach m, stars cap at 2)
@@ -322,3 +324,46 @@ def test_chorded_cycles_match_naive():
                 assert res.sigma == want, (g.edges, profile)
                 check = verify_coloring(g, res.witness, profile)
                 assert check.valid and check.colors_used == want
+
+
+def _decided(g, k, budget):
+    """Run ``decide`` on slices of ``budget`` nodes; its answer and the
+    number of slices it took."""
+    run = decide(g, k)
+    next(run)
+    slices = 0
+    try:
+        while True:
+            slices += 1
+            run.send(budget)
+    except StopIteration as stop:
+        return stop.value, slices
+
+
+def test_decide_matches_sigma_at_every_k():
+    # every graph with up to 5 vertices, components and pendants included,
+    # run without a budget and on one-node slices, which must agree
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            sigma = sigma_exact(g, edge_limit=None).sigma
+            for k in range(n + 2):
+                colors, _ = _decided(g, k, -1)
+                assert (colors is not None) == (sigma >= k), (g.edges, k)
+                assert _decided(g, k, 1)[0] == colors, (g.edges, k)
+                if colors is not None and g.m:
+                    check = verify_coloring(g, EdgeColoring(colors))
+                    assert check.valid and check.colors_used >= k
+
+
+def test_decide_resumes_across_slices():
+    # a long NO: one-node slices pause at every node and give the same
+    # answer as one unbudgeted run
+    g = gen_random(12, 0.35, 1)
+    sigma = sigma_exact(g, edge_limit=None).sigma
+    assert _decided(g, sigma + 1, -1) == (None, 1)
+    colors, slices = _decided(g, sigma + 1, 1)
+    assert colors is None and slices > 100
+    colors, _ = _decided(g, sigma, 7)
+    assert verify_coloring(g, EdgeColoring(colors)).colors_used >= sigma

@@ -29,10 +29,14 @@ from maxec import (
 from maxec.generators import gen_random
 from maxec.kernels import _compact, _twin_deletions, lift_coloring
 from maxec.matching import Continue, matching_preprocess, maximal_matching
+from maxec.oracle import decide
 from maxec.solver import (
+    _FIRST_SLICE,
     _cover_order,
     _enum_tau_masks,
     _min_cover,
+    _palette_route,
+    _race,
     _settle,
     _Tables,
 )
@@ -43,8 +47,8 @@ STAR3 = Graph(4, [(0, 1), (0, 2), (0, 3)])
 PATH5 = Graph(5, [(i, i + 1) for i in range(4)])
 
 
-def _assert_agrees(g, k):
-    res = solve_exact(g, k)
+def _assert_agrees(g, k, solve=solve_exact):
+    res = solve(g, k)
     want = sigma_exact(g, edge_limit=None).sigma >= k
     assert res.yes == want, f"n={g.n} edges={g.edges} k={k}"
     if res.yes:
@@ -283,11 +287,13 @@ class TestPaletteEnumeration:
         # in a triangle the last position meets only earlier ones
         tables = _Tables(Graph(3, [(0, 1), (1, 2), (0, 2)]), (0, 1, 2))
         assert (tables.cap, tables.after) == ([2, 1, 0], [1, 0, 0])
-        # one later cover neighbor and one cut neighbor; the hub's three
-        # cut neighbors still allow only two new colors
+        # one later cover neighbor and one cut neighbor; the hub has three
+        # cut neighbors, but its palette must meet that of its earlier
+        # cover neighbor, which holds only colors already in, so it
+        # introduces at most one new color
         g = Graph(6, [(0, 1), (1, 2), (0, 3), (0, 4), (0, 5)])
         tables = _Tables(g, (1, 0))
-        assert (tables.cap, tables.after) == ([2, 2], [2, 0])
+        assert (tables.cap, tables.after) == ([2, 1], [1, 0])
 
 
 class TestCheckTop:
@@ -399,9 +405,12 @@ class TestPaletteSearch:
 
 
 class TestBranchDiscipline:
+    """Counters of the palette search alone (``_palette_route``): in
+    ``solve_exact`` the oracle may answer before the search has run."""
+
     def test_stats_populated_on_hard_no(self):
         # a NO whose enumeration still yields a palette (PINNED[8])
-        res = solve_exact(gen_random(11, 0.3, 1), 7)
+        res = _palette_route(gen_random(11, 0.3, 1), 7)
         assert not res.yes
         assert res.stats.palettes > 0
         assert res.stats.x_guesses >= res.stats.palettes
@@ -409,7 +418,7 @@ class TestBranchDiscipline:
     def test_uncoverable_no_enumerates_nothing(self):
         # the center's palette holds at most two colors and every edge
         # meets it, so no palette can show three colors
-        res = solve_exact(STAR3, 3)
+        res = _palette_route(STAR3, 3)
         assert not res.yes
         assert res.stats.palettes == 0
 
@@ -417,7 +426,7 @@ class TestBranchDiscipline:
         seen_across = 0
         for g in connected_graphs_upto(5):
             for k in range(3, g.n + 1):
-                res = _assert_agrees(g, k)
+                res = _assert_agrees(g, k, _palette_route)
                 assert res.stats.top_branch_events == 0
                 seen_across += res.stats.across_branch_events
         assert seen_across > 0
@@ -533,7 +542,7 @@ class TestMemoizedSearch:
 
 
 def _differential_check(g):
-    """solve_exact against the loop reference enumeration fed to the same
+    """The palette route against the loop reference enumeration fed to the same
     per-palette search, at every k the palette search decides. Where the
     twin trim fires, the reference searches the trimmed graph and its
     witness is lifted back; a trimmed question that the trimmed graph's
@@ -544,7 +553,7 @@ def _differential_check(g):
         pre = matching_preprocess(g, k)
         if not isinstance(pre, Continue):
             continue
-        res = solve_exact(g, k)
+        res = _palette_route(g, k)
         where = f"n={g.n} edges={g.edges} k={k}"
         checked += 1
         h = g
@@ -598,8 +607,9 @@ class TestPrunedSearch:
 
 # seeded draws whose greedy matching has size 3 (a 6-vertex matched cover;
 # the search runs on a minimum cover of 3 to 6 vertices, in _cover_order),
-# with SolveStats fields and witness colors. The enumeration's closing rule
-# leaves three of the NO questions without a single palette
+# with the SolveStats fields and witness colors of the palette search
+# alone. The enumeration's closing rule leaves three of the NO questions
+# without a single palette
 PINNED = [
     ((9, 0.2, 1), 5, (1, 1, 0, 1, 2), [0, 0, 1, 0, 0, 2, 4, 3]),
     ((9, 0.2, 1), 6, (0, 0, 0, 0, 0), None),
@@ -618,7 +628,7 @@ PINNED = [
 def _pinned_check(draw, k, counters, witness):
     g = gen_random(*draw)
     assert len(maximal_matching(g)) == 3
-    res = solve_exact(g, k)
+    res = _palette_route(g, k)
     s = res.stats
     assert (s.palettes, s.x_guesses, s.top_branch_events,
             s.across_branch_events, s.across_branch_max_width) == counters
@@ -639,7 +649,8 @@ class TestPinnedCounters:
 
 
 # the slowest questions of earlier versions (over 40 s together), each a
-# YES at sigma and a NO at sigma + 1: sigma from sigma_exact(edge_limit=None)
+# YES at sigma and a NO at sigma + 1: sigma from sigma_exact(edge_limit=None);
+# the counters are those of the palette search alone
 HEAVY = [
     ((20, 0.12, 264274), 12, (2, 3, 0, 2, 2), True),
     ((20, 0.12, 264274), 13, (0, 0, 0, 0, 0), False),
@@ -656,6 +667,107 @@ class TestHeavyTail:
 
     @pytest.mark.parametrize("draw,k,counters,yes", HEAVY)
     def test_counters_and_verdict(self, draw, k, counters, yes):
-        res = solve_exact(gen_random(*draw), k)
+        res = _palette_route(gen_random(*draw), k)
         assert astuple(res.stats) == counters
         assert res.yes == yes
+
+
+def _fake_engine(log, name, need):
+    """An engine of ``_race`` that finishes after ``need`` nodes, logging
+    each budget it is sent."""
+    left = yield
+    while need > left:
+        log.append((name, left))
+        need -= left
+        left = yield
+    log.append((name, left))
+    return f"{name} done"
+
+
+class TestRace:
+    """``solve_exact`` races the oracle's decider against the palette
+    search in node-budgeted slices, the oracle first."""
+
+    def test_slices_alternate_and_double(self):
+        f = _FIRST_SLICE
+        runs = []
+        for _ in range(2):
+            log = []
+            got = _race({"a": _fake_engine(log, "a", 100 * f),
+                         "b": _fake_engine(log, "b", 3 * f)})
+            runs.append((got, log))
+        # b needs 3f nodes: 2f in its first slice, the rest in its second
+        assert runs[0] == (("b", "b done"),
+                           [("a", f), ("b", 2 * f), ("a", 4 * f), ("b", 8 * f)])
+        assert runs[1] == runs[0]
+
+    def test_first_engine_to_finish_wins(self):
+        f = _FIRST_SLICE
+        log = []
+        # a finishes in its second slice, before b's second
+        got = _race({"a": _fake_engine(log, "a", 5 * f),
+                     "b": _fake_engine(log, "b", 3 * f)})
+        assert got == ("a", "a done")
+        assert log == [("a", f), ("b", 2 * f), ("a", 4 * f)]
+        log = []
+        # one engine alone still runs on doubling slices
+        got = _race({"a": _fake_engine(log, "a", 6 * f)})
+        assert got == ("a", "a done")
+        assert log == [("a", f), ("a", 2 * f), ("a", 4 * f)]
+
+    def test_budgeted_enumeration_yields_the_same_palettes(self):
+        # one-node slices pause the enumeration at every node; resumed, it
+        # yields the unbudgeted enumeration's palettes in the same order
+        g = gen_random(11, 0.3, 1)
+        order = _cover_order(g, _min_cover(g, matching_preprocess(g, 6).cover))
+        want = list(_enum_tau_masks(_Tables(g, order), 6))
+        run = _enum_tau_masks(_Tables(g, order), 6, 1)
+        got = []
+        pauses = 0
+        sent = None
+        while True:
+            try:
+                tau = run.send(sent)
+            except StopIteration:
+                break
+            sent = None
+            if tau is None:
+                pauses += 1
+                sent = 1
+            else:
+                got.append(tau)
+        assert got == want and len(want) > 1
+        assert pauses > len(want)
+
+    def test_each_engine_answers_some_question(self):
+        yes = solve_exact(gen_random(20, 0.12, 264274), 12)
+        assert yes.yes and yes.engine == "oracle"
+        no = solve_exact(gen_random(20, 0.12, 264274), 13)
+        assert not no.yes and no.engine == "palettes"
+        # counting and preprocessing answer without an engine
+        assert solve_exact(C5, 6).engine is None
+        assert solve_exact(C5, 2).engine is None
+
+    def test_oracle_witness_is_cut_to_exactly_k_colors(self, monkeypatch):
+        # a 5-cycle at k = 4: the decider's first coloring beating 3
+        # classes gives every edge its own class
+        g = Graph(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
+        _, colors = _race({"oracle": decide(g, 4)})
+        assert len(set(colors)) == 5
+
+        # the oracle answers in its first slice, so the palette search
+        # never builds its tables
+        def untouched(*args):
+            raise AssertionError("palette tables built")
+
+        monkeypatch.setattr("maxec.solver._min_cover", untouched)
+        res = solve_exact(g, 4)
+        assert res.yes and res.engine == "oracle"
+        check = verify_coloring(g, res.witness)
+        assert check.valid and check.colors_used == 4
+
+    def test_oracle_settles_what_the_palette_search_cannot(self):
+        # the enumeration alone ran past 60 s here; the oracle's NO takes
+        # about a second
+        res = solve_exact(gen_random(28, 0.1, 3), 17)
+        assert not res.yes and res.engine == "oracle"
