@@ -57,14 +57,17 @@ Connected components are solved independently and summed; the number of
 colors is additive because components can always use disjoint palettes.
 
 The search is a generator with a node budget, one node per pass of its
-loop, so a caller can run it in slices and resume it. It may also start
-from a floor instead of 0 as its best count and stop at the first
-coloring that beats it. ``sigma_exact`` runs it to the end from 0 without
-a budget, so its witness and its cost are those of the plain search.
-``decide`` answers sigma >= k under the default profile for the solver's
-race (``solver._race``): it takes the exact sigma of every component but
-the one with most edges, and asks that one, from the rest of k minus one
-as the floor, for a first coloring that beats it. A NO is exact, since
+loop. It follows the pause protocol of both engines of the solver's race
+(``solver._race``): once its budget is spent it pauses with a bare
+``yield``, takes its next budget from ``send``, and returns its answer.
+Without a floor it searches for the optimum from 0; with a floor it takes
+the floor as its best count and stops at the first coloring that beats
+it. ``sigma_exact`` runs it without a floor or a budget, so its witness
+and its cost are those of the plain search. ``decide`` answers
+sigma >= k under the default profile as the race's first engine: it takes
+the exact sigma of every component but the one with most edges, and asks
+that one, with the rest of k minus one as its floor, for a first
+coloring that beats it. A NO is exact, since
 the floor then bounds that component's optimum; a YES may show more than
 k colors.
 """
@@ -156,13 +159,12 @@ def _fold_and_search(g: Graph, caps: list[int], k: int | None = None, left: int 
         rest = k - sum(kind == "fresh" for kind, _, _ in actions)
     total = 0
     for i, (comp, edge_ids, local_edges, local_caps) in enumerate(comps):
-        deciding = k is not None and i == len(comps) - 1
-        floor = rest - total - 1 if deciding else 0
+        floor = rest - total - 1 if k is not None and i == len(comps) - 1 else None
         best, assign, left = yield from _search(
-            len(comp), local_edges, local_caps, floor, deciding, left
+            len(comp), local_edges, local_caps, floor, left
         )
         if assign is None:
-            if deciding:
+            if floor is not None:
                 return None
             raise AssertionError("component search returned no coloring")
         for local_eid, c in enumerate(assign):
@@ -269,15 +271,16 @@ def _components(g: Graph, caps):
         yield comp, ids, local_edges, [caps[v] for v in comp]
 
 
-def _search(n: int, edges, caps, floor: int = 0, first: bool = False, left: int = -1):
+def _search(n: int, edges, caps, floor: int | None = None, left: int = -1):
     """Best class count and an assignment per edge id for one component.
 
-    A generator that returns (best, assignment, budget left). The search
-    starts with ``floor`` as the best count and keeps only assignments
-    that beat it, so the assignment is None when none does; with
-    ``first`` it returns at the first one. Each pass of the loop is one
-    node: once ``left`` nodes have run it yields, and the value sent back
-    is the next budget. A negative ``left`` never runs out.
+    A generator that returns (best, assignment, budget left). With no
+    ``floor`` it searches for the optimum from 0. With a floor it takes
+    the floor as the best count and returns at the first assignment that
+    beats it, or with assignment None when none does. Each pass of the
+    loop is one node: once ``left`` nodes have run it pauses with a bare
+    ``yield``, and the value sent back is the next budget. A negative
+    ``left`` never runs out.
     """
     m = len(edges)
     last = [-1] * n  # position of the last edge per vertex
@@ -302,7 +305,7 @@ def _search(n: int, edges, caps, floor: int = 0, first: bool = False, left: int 
     owes = [0] * m  # owed bitmask at entry, per position
     rest = [0] * m  # old classes still to try per position
     classes = pos = 0
-    best = floor
+    best = 0 if floor is None else floor
     best_assign: list[int] | None = None
     while True:
         left -= 1
@@ -312,7 +315,7 @@ def _search(n: int, edges, caps, floor: int = 0, first: bool = False, left: int 
         if pos == m:
             if classes > best:
                 best, best_assign = classes, assign[:]
-                if first:
+                if floor is not None:
                     return best, best_assign, left
         elif not dead and classes + min(m - pos, (room - owed.bit_count()) // 2) > best:
             u, v = edges[pos]

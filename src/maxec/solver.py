@@ -10,10 +10,12 @@ trim keeps the greedy matching, so it fires once.
 Two exact engines decide the trimmed graph, because neither beats the
 other on every graph: the oracle's decider (``oracle.decide``) and the
 palette search below. ``_race`` runs them as an algorithm portfolio
-(Gomes and Selman 2001): each is a resumable generator, the two
-alternate on slices of ``_FIRST_SLICE`` nodes and then twice the previous
-slice each time, the oracle first, and the first to finish answers. A
-node is one search position of the oracle and one call of the
+(Gomes and Selman 2001). Both engines follow one pause protocol: a
+generator that pauses with a bare ``yield`` once its node budget is
+spent, takes its next budget from ``send``, and returns its answer. The
+two alternate on slices of ``_FIRST_SLICE`` nodes and then twice the
+previous slice each time, the oracle first, and the first to finish
+answers. A node is one search position of the oracle and one call of the
 enumeration's ``rec``; the palette search builds its tables inside its
 first slice, so a question that the oracle settles first never pays for
 them. Slices count nodes, so the engine that answers depends only on
@@ -314,9 +316,11 @@ def _options(t: int, pending: tuple, room: int) -> tuple:
     return tuple(out)
 
 
-def _enum_tau_masks(tables: _Tables, k: int, left: int = -1):
-    """All palette assignments on the cover, one per color-relabeling orbit,
-    as tuples of color masks parallel to ``tables.order``.
+def _enum_tau_masks(tables: _Tables, k: int, settle, left: int = -1):
+    """Hand ``settle`` the palette assignments on the cover, one per
+    color-relabeling orbit, as tuples of color masks parallel to
+    ``tables.order``, and return the first result that is not None, or
+    None once they run out.
 
     Canonical form: scanning cover vertices in the given order, a color
     index may appear only after all smaller indices have appeared, and when
@@ -339,11 +343,12 @@ def _enum_tau_masks(tables: _Tables, k: int, left: int = -1):
 
     The cap and both conditions hold for the exact palettes of every
     witness, and none depends on how colors are labeled, so every witness
-    keeps a yielded palette in its orbit.
+    keeps a palette handed to ``settle`` in its orbit.
 
-    Each call of ``rec`` is one node. Once ``left`` nodes have run, the
-    generator yields None, and the value sent back is the next budget; a
-    negative ``left`` never runs out.
+    A generator that pauses like ``oracle._search``: each call of ``rec``
+    is one node, and once ``left`` nodes have run it pauses with a bare
+    ``yield`` and takes its next budget from ``send``. A negative ``left``
+    never runs out.
     """
     size = len(tables.order)
     earlier = tables.earlier
@@ -376,11 +381,9 @@ def _enum_tau_masks(tables: _Tables, k: int, left: int = -1):
         nonlocal left
         left -= 1
         if not left:
-            left = yield None
+            left = yield
         if p == size:
-            if t == k:
-                yield tuple(sets)
-            return
+            return settle(tuple(sets)) if t == k else None
         opts = _options(t, pending, min(k - t, cap[p]))
         before = [sets[q] for q in earlier[p]]
         ready = ready_at[p]
@@ -402,9 +405,12 @@ def _enum_tau_masks(tables: _Tables, k: int, left: int = -1):
                         if not shows(v, mates, cuts):
                             break
                     else:
-                        yield from rec(p + 1, t2, pending2)
+                        found = yield from rec(p + 1, t2, pending2)
+                        if found is not None:
+                            return found
+        return None
 
-    yield from rec(0, 0, ())
+    return (yield from rec(0, 0, ()))
 
 
 def _best_hits(cands: tuple[int, ...], r: int) -> list[int]:
@@ -471,9 +477,9 @@ def _settle(g: Graph, tables: _Tables, tau: tuple[int, ...], k: int,
     """Decide one palette: an allowed color per cover edge and a candidate
     per cut vertex that together show all k colors.
 
-    ``tau`` holds the palette masks parallel to ``tables.order``, as yielded
-    by ``_enum_tau_masks``, so every cut vertex has a candidate. Returns the
-    per-edge colors of a witness, or None.
+    ``tau`` holds the palette masks parallel to ``tables.order``, as
+    ``_enum_tau_masks`` hands them out, so every cut vertex has a
+    candidate. Returns the per-edge colors of a witness, or None.
 
     The leftover r starts as the colors not shown by forced or shared-color
     vertices. Flexible vertices with a single best candidate meeting r
@@ -603,15 +609,6 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
     to a race (``_race``) of the oracle's decider and the palette search
     on the trimmed graph; ``engine`` names the one that answered.
     """
-    return _solve(g, k, race=True)
-
-
-def _palette_route(g: Graph, k: int) -> SolveResult:
-    """``solve_exact`` with the palette search as its only engine."""
-    return _solve(g, k, race=False)
-
-
-def _solve(g: Graph, k: int, race: bool) -> SolveResult:
     if k < 0:
         raise ValueError("color count must be nonnegative")
     stats = SolveStats()
@@ -639,7 +636,7 @@ def _solve(g: Graph, k: int, race: bool) -> SolveResult:
     # search nothing: the trim keeps them
     if actions := [a for a in _twin_deletions(g, pre.cover) if a[2] is not None]:
         kern = _compact(g, k, actions)
-        res = _solve(kern.verdict.graph, k, race)
+        res = solve_exact(kern.verdict.graph, k)
         if not res.yes:
             return res
         # lift_coloring checks validity; the color count is checked here
@@ -647,10 +644,8 @@ def _solve(g: Graph, k: int, race: bool) -> SolveResult:
         if lifted.k != k:
             raise AssertionError("lifted witness failed verification")
         return SolveResult(True, lifted, res.stats, res.engine)
-    engines = {"palettes": _palettes(g, pre.cover, k, stats)}
-    if race:
-        engines = {"oracle": decide(g, k), **engines}
-    engine, colors = _race(engines)
+    engine, colors = _race({"oracle": decide(g, k),
+                            "palettes": _palettes(g, pre.cover, k, stats)})
     if colors is None:
         return SolveResult(False, None, stats, engine)
     # the oracle's coloring may show more than k colors
@@ -661,25 +656,17 @@ def _solve(g: Graph, k: int, race: bool) -> SolveResult:
 def _palettes(g: Graph, cover: tuple[int, ...], k: int, stats: SolveStats):
     """The palette search as an engine of ``_race``. It builds its tables
     in its first slice, so a race that the oracle wins first never pays
-    for them, then settles each palette that the budgeted enumeration
-    yields. Returns the colors per edge of a witness, or None."""
+    for them, then runs the budgeted enumeration, which pauses for it and
+    settles each palette. Returns the colors per edge of a witness, or
+    None."""
     left = yield
     tables = _Tables(g, _cover_order(g, _min_cover(g, cover)))
-    palettes = _enum_tau_masks(tables, k, left)
-    sent = None
-    while True:
-        try:
-            tau = palettes.send(sent)
-        except StopIteration:
-            return None
-        sent = None
-        if tau is None:
-            sent = yield
-            continue
+
+    def settle(tau: tuple[int, ...]) -> list[int] | None:
         stats.palettes += 1
-        colors = _settle(g, tables, tau, k, stats)
-        if colors is not None:
-            return colors
+        return _settle(g, tables, tau, k, stats)
+
+    return (yield from _enum_tau_masks(tables, k, settle, left))
 
 
 def _race(engines: dict) -> tuple:
@@ -688,11 +675,12 @@ def _race(engines: dict) -> tuple:
 
     The first slice holds ``_FIRST_SLICE`` nodes and every later slice
     twice as many as the one before (a doubling schedule, after Luby,
-    Sinclair and Zuckerman 1993). An engine is a generator: primed with
-    ``next``, it takes a node budget through ``send``, yields once that
-    budget is spent, and returns its answer when it finishes. Slices
-    count nodes, not seconds, so the engine that answers, and its answer,
-    depend only on the input.
+    Sinclair and Zuckerman 1993). Both engines follow one pause protocol:
+    an engine is a generator that, primed with ``next``, takes a node
+    budget through ``send``, pauses with a bare ``yield`` once that budget
+    is spent, and returns its answer when it finishes. Slices count nodes,
+    not seconds, so the engine that answers, and its answer, depend only
+    on the input.
     """
     for engine in engines.values():
         next(engine)

@@ -11,7 +11,9 @@ enumeration into the solver's own per-palette decision (``_settle``), so
 that a test can compare the memoized enumeration alone against it;
 ``ref_palette_feasible`` checks that decision on its own, and
 ``ref_coverable`` checks that every enumerated palette leaves each color
-somewhere to show.
+somewhere to show. ``palette_route`` reaches the palette search through
+``solve_exact`` itself, with ``stalled_decide`` in place of the oracle's
+decider.
 The reference loaders (``ref_load_instance``, ``ref_load_coloring``) and
 ``ref_has_c4`` are the package's earlier per-line parsers and unfiltered
 four-cycle scan, kept to pin the faster versions to the same answers.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from maxec import EdgeColoring, Graph, GraphError, SolveStats
+from maxec import EdgeColoring, Graph, GraphError, SolveResult, SolveStats, solver
 from maxec.formats import FormatError
 from maxec.solver import _settle, _Tables
 
@@ -362,6 +364,25 @@ def ref_palette_search(g: Graph, cover: tuple[int, ...], k: int):
         if colors is not None:
             return colors, stats
     return None, stats
+
+
+def stalled_decide(g: Graph, k: int):
+    """A decider that never answers: it pauses at every budget. Put in
+    place of ``solver.decide``, it leaves ``solve_exact``'s race to the
+    palette search."""
+    while True:
+        yield
+
+
+def palette_route(g: Graph, k: int) -> SolveResult:
+    """``solve_exact`` with the oracle's decider stalled, so the palette
+    search answers every question that reaches the race."""
+    decide = solver.decide
+    solver.decide = stalled_decide
+    try:
+        return solver.solve_exact(g, k)
+    finally:
+        solver.decide = decide
 
 
 def ref_max_bipartite_matching(left, edges) -> dict:

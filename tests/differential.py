@@ -2,9 +2,10 @@
 
 Asks every k from 0 to n + 1 on each graph of ``brutes.graphs_upto_seven()``
 (91,441 questions), twice: once of the palette search alone
-(``solver._palette_route``: preprocessing, twin trim, search and lift), and
-once of ``solve_exact``, which races the oracle's decider against the
-palette search. Each verdict is compared with
+(``brutes.palette_route``: ``solve_exact`` with the oracle's decider
+stalled, so preprocessing, twin trim, palette search and lift), and once
+of ``solve_exact``, which races the oracle's decider against the palette
+search. Each verdict is compared with
 ``sigma_exact(edge_limit=None)``; every YES witness is verified inside the
 solver. Prints the number of questions, of disagreements per route, the
 palette route's summed search counters, its widest branch and a SHA-256
@@ -36,7 +37,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from brutes import graphs_upto_seven
+from brutes import graphs_upto_seven, palette_route
 from maxec import (
     ForcedYes,
     Reduced,
@@ -47,7 +48,6 @@ from maxec import (
     sigma_exact,
     solve_exact,
 )
-from maxec.solver import _palette_route
 
 
 def kernel_outcome(kernelize, g, k):
@@ -107,7 +107,7 @@ def main() -> int:
             route_digest.update(repr((g.n, g.edges, k, res.yes, witness,
                                       tuple(asdict(res.stats).items()),
                                       res.engine)).encode())
-            res = _palette_route(g, k)
+            res = palette_route(g, k)
             questions += 1
             if res.yes != (sigma >= k):
                 wrong.append((g.n, g.edges, k, sigma))

@@ -6,7 +6,9 @@ import io
 import pytest
 from hypothesis import given, settings
 
-from maxec.cli import _build_parser, run
+from brutes import stalled_decide
+from maxec import solver
+from maxec.cli import _build_parser, main, run
 from maxec.formats import (
     FormatError,
     load_coloring,
@@ -496,6 +498,20 @@ class TestUsage:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,g,code", [
+        (["solve", "--k", "6"], FIVE_CYCLE, 1),
+        (["sigma", "--edge-limit", "1"], Graph(3, [(0, 1), (1, 2)]), 3),
+    ])
+    def test_console_script_exits_with_the_code(self, monkeypatch, capsys,
+                                                argv, g, code):
+        # the installed script is main(): a NO exits 1 and a refusal 3
+        monkeypatch.setattr("sys.argv", ["maxec", *argv])
+        monkeypatch.setattr("sys.stdin", io.StringIO(render_graph(g)))
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
+        capsys.readouterr()
+
 
 def _fault(load, *args):
     try:
@@ -586,9 +602,9 @@ def _kernel_agrees(g, graph, rule, arg, colors, yes):
         assert check.valid and check.colors_used == colors
 
 
-def _agrees_with_oracle(workdir, g):
-    """Every route of ``solve`` and ``kernel`` on g against sigma_exact."""
-    sigma = sigma_exact(g, edge_limit=None).sigma
+def _solve_agrees(workdir, g, sigma):
+    """``solve`` and ``solve --kernelize`` on g at sigma and sigma + 1: YES
+    with a witness that ``verify`` accepts, then NO."""
     graph, witness = workdir / "g.gr", workdir / "w.col"
     graph.write_text(render_graph(g))
     for k in (sigma, sigma + 1):
@@ -604,6 +620,13 @@ def _agrees_with_oracle(workdir, g):
         assert _run_quiet("verify", str(graph), str(witness))[:2] == (
             0, f"VALID colors={k}\n",
         )
+    return graph
+
+
+def _agrees_with_oracle(workdir, g):
+    """Every route of ``solve`` and ``kernel`` on g against sigma_exact."""
+    sigma = sigma_exact(g, edge_limit=None).sigma
+    graph = _solve_agrees(workdir, g, sigma)
     rules = ("standard", "c4free") if has_c4(g) is None else ("standard",)
     for rule in rules:
         for k in (sigma, sigma + 1):
@@ -626,3 +649,13 @@ class TestOracleAgreement:
     @given(g=random_graphs(max_n=7, max_m=10))
     def test_every_route_matches_sigma(self, workdir, g):
         _agrees_with_oracle(workdir, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=random_graphs(max_n=9, max_m=14))
+    def test_palette_search_answers_solve(self, workdir, g):
+        # with the oracle's decider stalled, every question that reaches
+        # the race is answered by the palette search
+        sigma = sigma_exact(g, edge_limit=None).sigma
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "decide", stalled_decide)
+            _solve_agrees(workdir, g, sigma)

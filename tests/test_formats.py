@@ -144,6 +144,7 @@ COLORING_FAULTS = [
     ("s coloring 2\nl 1 2 1\nl 2 3 1", None),
     ("s coloring 1\nl 1 2 1", None),
     ("s coloring 1\nl 1 2 0\nl 2 3 1", 2),
+    ("s coloring -1\nl 1 2 1\nl 2 3 1", 1),
     ("x nonsense", 1),
     ("", None),
 ]
@@ -163,6 +164,12 @@ def test_render_coloring_checks_edge_count():
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         render_coloring(g, EdgeColoring([0]))
+
+
+def test_render_annotated_checks_table_length():
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="wrong length"):
+        render_annotated(g, (1, 2))
 
 
 def test_empty_coloring_document():

@@ -22,6 +22,8 @@ def test_edges_normalize_and_keep_input_order():
     assert g.edge_id(1, 3) == 2
     assert g.endpoints(0) == (1, 2)
     assert g.has_edge(3, 0) and not g.has_edge(0, 1)
+    with pytest.raises(GraphError, match="no edge"):
+        g.edge_id(0, 1)
 
 
 def test_construction_rejects_bad_input():

@@ -484,3 +484,13 @@ class TestLiftingErrors:
         from maxec import EdgeColoring
         with pytest.raises(ValueError):
             lift_coloring(P5, res.verdict.graph, res.lifting, EdgeColoring([0]))
+
+    def test_lifting_of_another_graph(self):
+        # P5 with a chord is not the graph the lifting came from: the lift
+        # never colors the chord
+        res = kernelize_dual(P5, 1)
+        reduced = res.verdict.graph
+        chorded = Graph(5, [*P5.edges, (0, 2)])
+        with pytest.raises(ValueError, match="original edge set"):
+            lift_coloring(chorded, reduced, res.lifting,
+                          sigma_exact(reduced).witness)

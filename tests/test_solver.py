@@ -17,6 +17,7 @@ from brutes import (
     ref_palette_feasible,
     ref_palette_search,
     ref_realizable,
+    stalled_decide,
 )
 from maxec import (
     EdgeColoring,
@@ -24,6 +25,7 @@ from maxec import (
     SolveStats,
     sigma_exact,
     solve_exact,
+    solver,
     verify_coloring,
 )
 from maxec.generators import gen_random
@@ -35,7 +37,6 @@ from maxec.solver import (
     _cover_order,
     _enum_tau_masks,
     _min_cover,
-    _palette_route,
     _race,
     _settle,
     _Tables,
@@ -47,8 +48,15 @@ STAR3 = Graph(4, [(0, 1), (0, 2), (0, 3)])
 PATH5 = Graph(5, [(i, i + 1) for i in range(4)])
 
 
-def _assert_agrees(g, k, solve=solve_exact):
-    res = solve(g, k)
+@pytest.fixture
+def stalled(monkeypatch):
+    """``solve_exact`` with the oracle's decider stalled, so the palette
+    search answers every question that reaches the race."""
+    monkeypatch.setattr(solver, "decide", stalled_decide)
+
+
+def _assert_agrees(g, k):
+    res = solve_exact(g, k)
     want = sigma_exact(g, edge_limit=None).sigma >= k
     assert res.yes == want, f"n={g.n} edges={g.edges} k={k}"
     if res.yes:
@@ -179,10 +187,18 @@ def _settle_colors(g, tau, k, stats=None):
                    SolveStats() if stats is None else stats)
 
 
+def _enumerated(tables, k):
+    """The palettes the enumeration hands to ``settle``, in order; without
+    a node budget it never pauses."""
+    got = []
+    assert list(_enum_tau_masks(tables, k, got.append)) == []
+    return got
+
+
 def _palettes(g, order, k):
     """Enumerated palette assignments as {vertex: frozenset of colors}, with
     the cover placed in ``order``."""
-    for masks in _enum_tau_masks(_Tables(g, order), k):
+    for masks in _enumerated(_Tables(g, order), k):
         yield {
             v: frozenset(c for c in range(k) if m >> c & 1)
             for v, m in zip(order, masks)
@@ -363,7 +379,7 @@ class TestCheckAcross:
         g = Graph(6, [(0, 1), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)])
         tables = _Tables(g, (0, 1, 2, 3))
         tau = (1, 3, 6, 4)
-        assert tau in _enum_tau_masks(tables, 3)
+        assert tau in _enumerated(tables, 3)
         colors = _settle(g, tables, tau, 3, SolveStats())
         assert colors == [0, 0, 0, 2, 1, 2]
         check = verify_coloring(g, EdgeColoring(colors))
@@ -405,28 +421,28 @@ class TestPaletteSearch:
 
 
 class TestBranchDiscipline:
-    """Counters of the palette search alone (``_palette_route``): in
-    ``solve_exact`` the oracle may answer before the search has run."""
+    """Counters of the palette search alone (the ``stalled`` fixture): in
+    a race the oracle may answer before the search has run."""
 
-    def test_stats_populated_on_hard_no(self):
-        # a NO whose enumeration still yields a palette (PINNED[8])
-        res = _palette_route(gen_random(11, 0.3, 1), 7)
+    def test_stats_populated_on_hard_no(self, stalled):
+        # a NO whose enumeration still hands out a palette (PINNED[8])
+        res = solve_exact(gen_random(11, 0.3, 1), 7)
         assert not res.yes
         assert res.stats.palettes > 0
         assert res.stats.x_guesses >= res.stats.palettes
 
-    def test_uncoverable_no_enumerates_nothing(self):
+    def test_uncoverable_no_enumerates_nothing(self, stalled):
         # the center's palette holds at most two colors and every edge
         # meets it, so no palette can show three colors
-        res = _palette_route(STAR3, 3)
+        res = solve_exact(STAR3, 3)
         assert not res.yes
         assert res.stats.palettes == 0
 
-    def test_branch_widths_within_bounds(self):
+    def test_branch_widths_within_bounds(self, stalled):
         seen_across = 0
         for g in connected_graphs_upto(5):
             for k in range(3, g.n + 1):
-                res = _assert_agrees(g, k, _palette_route)
+                res = _assert_agrees(g, k)
                 assert res.stats.top_branch_events == 0
                 seen_across += res.stats.across_branch_events
         assert seen_across > 0
@@ -496,7 +512,7 @@ class TestMemoizedSearch:
                 if isinstance(pre, Continue):
                     assert pre.cover == cover
                 tables = _Tables(g, cover)
-                got = list(_enum_tau_masks(tables, k))
+                got = _enumerated(tables, k)
                 want = list(ref_enum_tau_masks(g, cover, k))
                 assert got == want, f"edges={g.edges} k={k}"
                 checked += len(got)
@@ -508,9 +524,15 @@ class TestMemoizedSearch:
             cover = _matching_cover(g)
             for k in range(2, g.n + 1):
                 tables = _Tables(g, cover)
-                for i, tau in enumerate(_enum_tau_masks(tables, k)):
-                    if i % 3:
-                        continue
+                seen = []
+
+                # settles every third palette while the enumeration is
+                # still filling the memo, as the palette search does
+                def compare(tau):
+                    nonlocal sampled
+                    seen.append(tau)
+                    if (len(seen) - 1) % 3:
+                        return None
                     shared, fresh = SolveStats(), SolveStats()
                     got = _settle(g, tables, tau, k, shared)
                     want = _settle(g, _Tables(g, cover), tau, k, fresh)
@@ -518,6 +540,9 @@ class TestMemoizedSearch:
                     assert got == want, where
                     assert shared == fresh, where
                     sampled += 1
+                    return None
+
+                assert list(_enum_tau_masks(tables, k, compare)) == []
         assert sampled > 300
 
     def test_enumeration_never_yields_a_dead_palette(self):
@@ -533,7 +558,7 @@ class TestMemoizedSearch:
             for cover in dict.fromkeys((matched, _min_cover(g, matched))):
                 tables = _Tables(g, cover)
                 for k in range(2, g.n + 1):
-                    for tau in _enum_tau_masks(tables, k):
+                    for tau in _enumerated(tables, k):
                         masks = dict(zip(cover, tau))
                         where = f"edges={g.edges} cover={cover} k={k} tau={tau}"
                         assert ref_coverable(g, cover, masks, k), where
@@ -542,8 +567,9 @@ class TestMemoizedSearch:
 
 
 def _differential_check(g):
-    """The palette route against the loop reference enumeration fed to the same
-    per-palette search, at every k the palette search decides. Where the
+    """``solve_exact`` with the decider stalled against the loop reference
+    enumeration fed to the same per-palette search, at every k the palette
+    search decides. Where the
     twin trim fires, the reference searches the trimmed graph and its
     witness is lifted back; a trimmed question that the trimmed graph's
     counts settle (k >= n' or m' < k) gets zero counters and the oracle's
@@ -553,7 +579,7 @@ def _differential_check(g):
         pre = matching_preprocess(g, k)
         if not isinstance(pre, Continue):
             continue
-        res = _palette_route(g, k)
+        res = solve_exact(g, k)
         where = f"n={g.n} edges={g.edges} k={k}"
         checked += 1
         h = g
@@ -578,6 +604,7 @@ def _differential_check(g):
     return checked, trimmed
 
 
+@pytest.mark.usefixtures("stalled")
 class TestPrunedSearch:
     """The memoized search, with its dead-prefix and color-count cuts,
     walks the reference's palettes in the reference's order, so the
@@ -628,7 +655,7 @@ PINNED = [
 def _pinned_check(draw, k, counters, witness):
     g = gen_random(*draw)
     assert len(maximal_matching(g)) == 3
-    res = _palette_route(g, k)
+    res = solve_exact(g, k)
     s = res.stats
     assert (s.palettes, s.x_guesses, s.top_branch_events,
             s.across_branch_events, s.across_branch_max_width) == counters
@@ -636,6 +663,7 @@ def _pinned_check(draw, k, counters, witness):
     assert (None if res.witness is None else list(res.witness)) == witness
 
 
+@pytest.mark.usefixtures("stalled")
 class TestPinnedCounters:
     @pytest.mark.parametrize("draw,k,counters,witness", PINNED)
     def test_counters_and_witness(self, draw, k, counters, witness):
@@ -661,13 +689,14 @@ HEAVY = [
 ]
 
 
+@pytest.mark.usefixtures("stalled")
 class TestHeavyTail:
     """Draws with 10-14-vertex minimum covers that the cap on new colors
     and the cover order answer after a handful of palettes."""
 
     @pytest.mark.parametrize("draw,k,counters,yes", HEAVY)
     def test_counters_and_verdict(self, draw, k, counters, yes):
-        res = _palette_route(gen_random(*draw), k)
+        res = solve_exact(gen_random(*draw), k)
         assert astuple(res.stats) == counters
         assert res.yes == yes
 
@@ -715,29 +744,45 @@ class TestRace:
         assert got == ("a", "a done")
         assert log == [("a", f), ("a", 2 * f), ("a", 4 * f)]
 
-    def test_budgeted_enumeration_yields_the_same_palettes(self):
+    def test_budgeted_enumeration_hands_out_the_same_palettes(self):
         # one-node slices pause the enumeration at every node; resumed, it
-        # yields the unbudgeted enumeration's palettes in the same order
+        # hands out the unbudgeted enumeration's palettes in the same order
         g = gen_random(11, 0.3, 1)
         order = _cover_order(g, _min_cover(g, matching_preprocess(g, 6).cover))
-        want = list(_enum_tau_masks(_Tables(g, order), 6))
-        run = _enum_tau_masks(_Tables(g, order), 6, 1)
+        want = _enumerated(_Tables(g, order), 6)
         got = []
+        run = _enum_tau_masks(_Tables(g, order), 6, got.append, 1)
         pauses = 0
-        sent = None
-        while True:
-            try:
-                tau = run.send(sent)
-            except StopIteration:
-                break
-            sent = None
-            if tau is None:
+        with pytest.raises(StopIteration) as stop:
+            next(run)
+            while True:
                 pauses += 1
-                sent = 1
-            else:
-                got.append(tau)
+                run.send(1)
+        assert stop.value.value is None
         assert got == want and len(want) > 1
         assert pauses > len(want)
+
+    def test_enumeration_returns_the_first_settled_palette(self):
+        # the first result of settle that is not None ends the enumeration
+        g = gen_random(11, 0.3, 1)
+        order = _cover_order(g, _min_cover(g, matching_preprocess(g, 6).cover))
+        every = _enumerated(_Tables(g, order), 6)
+        seen = []
+
+        def settle(tau):
+            seen.append(tau)
+            return "found" if tau == every[1] else None
+
+        with pytest.raises(StopIteration) as stop:
+            next(_enum_tau_masks(_Tables(g, order), 6, settle))
+        assert stop.value.value == "found"
+        assert seen == every[:2] and len(every) > 2
+
+    def test_stalled_decider_leaves_the_race_to_the_palette_search(
+            self, stalled):
+        # the oracle answers this question in its first slice (see above)
+        res = solve_exact(gen_random(20, 0.12, 264274), 12)
+        assert res.yes and res.engine == "palettes"
 
     def test_each_engine_answers_some_question(self):
         yes = solve_exact(gen_random(20, 0.12, 264274), 12)
