@@ -1,9 +1,9 @@
 """Exhaustive maximum-color computation for small graphs.
 
 The search enumerates edge partitions as restricted-growth assignments over
-the edges in id order. A branch dies the moment some vertex palette exceeds
-its capacity, or when an upper bound on the classes still reachable cannot
-beat the best coloring found.
+the edges of the core (below) in its edge order. A branch dies the moment
+some vertex palette exceeds its capacity, or when an upper bound on the
+classes still reachable cannot beat the best coloring found.
 
 Every call first folds pendant edges: it peels degree-1 vertices one at a
 time, so the graph left to search has no vertex of degree 1. Folding a
@@ -13,6 +13,20 @@ single color and gains nothing. Both directions of each rule follow from
 adding, merging or splitting one class (``_fold_pendants``), so the optimum
 is preserved exactly; the tests cross-check the oracle against a
 pruning-free enumerator.
+
+Folding is followed by a series rule (``_contract_series``): while some
+vertex x of capacity 1 has exactly two neighbors a and b that are not
+adjacent, the path a-x-b becomes the one edge (a, b). Since x has
+capacity 1, its two edges share one color in every valid coloring, and
+giving (a, b) that color leaves pal(a), pal(b) and the class count
+unchanged; in reverse, both edges of x take the color of (a, b), and
+pal(x) is that one color. So sigma is unchanged. A contraction changes
+no vertex's degree, so it cannot make a new pendant, and folding first
+is enough. A capacity-1 chain, such as an arm of a ``reduce_mcis``
+gadget, collapses to one edge. The core's edge order is the surviving
+edges in id order, then each contracted edge in the order it was made;
+every core edge keeps the original edge ids it stands for, and each of
+them takes its color.
 
 The search is one loop with an undo record per position, so its depth is
 not bounded by the recursion limit. At edge (u, v), an endpoint has room
@@ -45,7 +59,7 @@ nothing shares the class with the other end, so its bit stands. Both
 rules cut only subtrees whose colorings cannot beat ``best``, and ``best``
 only moves on a strictly larger count. So the search meets the same
 improving leaves in the same order as with the plain room bound, and the
-witness is the same first optimum in edge-id order.
+witness is the same first optimum in the core's edge order.
 
 Backing up to position pos, its remaining old classes are skipped once
 ``classes + (m - pos - 1) <= best``: an old class keeps ``classes``, so the
@@ -100,9 +114,10 @@ def sigma_exact(
 ) -> SigmaResult:
     """Maximum number of colors over all valid colorings, with a witness.
 
-    Pendant edges are always folded first (module docstring). The
-    ``fold_pendants`` keyword remains for callers that name it, and only
-    ``True`` is accepted; ``False`` raises ``ValueError``.
+    Pendant edges are always folded first, and series vertices
+    contracted (module docstring). The ``fold_pendants`` keyword remains
+    for callers that name it, and only ``True`` is accepted; ``False``
+    raises ``ValueError``.
     """
     if not fold_pendants:
         raise ValueError("pendant folding is always on; fold_pendants=False is not supported")
@@ -141,7 +156,8 @@ def _finish(search):
 
 
 def _fold_and_search(g: Graph, caps: list[int], k: int | None = None, left: int = -1):
-    """Fold pendants, search each component of the core, unfold.
+    """Fold pendants and contract series vertices, search each component
+    of the core, unfold.
 
     A generator over ``_search``: ``left`` nodes may run before it yields
     for the next budget, which comes back as the value of the yield.
@@ -152,7 +168,7 @@ def _fold_and_search(g: Graph, caps: list[int], k: int | None = None, left: int 
     or None.
     """
     colors: list[int | None] = [None] * g.m
-    core, caps, actions = _fold_pendants(g, caps)
+    core, caps, actions, origin = _fold_pendants(g, caps)
     comps = [comp for comp in _components(core, caps) if comp[1]]
     if k is not None and comps:
         comps.append(comps.pop(max(range(len(comps)), key=lambda i: len(comps[i][1]))))
@@ -168,7 +184,8 @@ def _fold_and_search(g: Graph, caps: list[int], k: int | None = None, left: int 
                 return None
             raise AssertionError("component search returned no coloring")
         for local_eid, c in enumerate(assign):
-            colors[g.edge_id(*core.edges[edge_ids[local_eid]])] = total + c
+            for eid in origin[edge_ids[local_eid]]:
+                colors[eid] = total + c
         total += best
     total = _unfold(g, actions, colors, total)
     if k is not None and total < k:
@@ -184,9 +201,11 @@ def _check_limit(g: Graph, edge_limit: int | None) -> None:
 
 
 def _fold_pendants(g: Graph, caps: list[int]):
-    """Peel degree-1 vertices; returns the core graph, its capacities (the
-    list ``caps``, updated in place), and the fold actions in application
-    order. The core has no vertex of degree 1.
+    """Peel degree-1 vertices, then contract series vertices
+    (``_contract_series``); returns the core graph, its capacities (the
+    list ``caps``, updated in place), the fold actions in application
+    order, and per core edge the original edge ids it stands for. The core
+    has no vertex of degree 1.
 
     Folding pendant edge (p, v), with p of degree 1 and c(v) the capacity
     of v in the current graph G, where G - e keeps every other capacity:
@@ -227,8 +246,47 @@ def _fold_pendants(g: Graph, caps: list[int]):
             actions.append(("reuse", eid, v))
         if deg[v] == 1:
             heapq.heappush(heap, v)
-    core = Graph(g.n, [g.edges[eid] for eid in range(g.m) if alive[eid]])
-    return core, caps, actions
+    ends = [g.edges[eid] for eid in range(g.m) if alive[eid]]
+    origin = [[eid] for eid in range(g.m) if alive[eid]]
+    series = [x for x in range(g.n) if deg[x] == 2 and caps[x] == 1]
+    if series:
+        ends, origin = _contract_series(g.n, caps, ends, origin, series)
+    return Graph(g.n, ends), caps, actions, origin
+
+
+def _contract_series(n: int, caps: list[int], ends, origin, series):
+    """Replace a-x-b by (a, b) while some capacity-1 vertex x has exactly
+    two neighbors a and b that are not adjacent (module docstring).
+
+    ``series`` lists the capacity-1 vertices of degree 2, taken smallest
+    first. A contraction changes no degree and no capacity, and only a and
+    b change neighbors, so only they can become contractible. Each new
+    edge goes at the end of ``ends``, and its ``origin`` entry joins the
+    original edge ids of the two it replaces. Returns the edges left and
+    their origins.
+    """
+    nbrs: list[dict[int, int]] = [{} for _ in range(n)]  # neighbor -> index in ends
+    for i, (u, v) in enumerate(ends):
+        nbrs[u][v] = nbrs[v][u] = i
+    heapq.heapify(series)
+    while series:
+        x = heapq.heappop(series)
+        if not nbrs[x]:  # already contracted
+            continue
+        (a, ea), (b, eb) = nbrs[x].items()
+        if b in nbrs[a]:
+            continue
+        nbrs[x].clear()
+        del nbrs[a][x], nbrs[b][x]
+        nbrs[a][b] = nbrs[b][a] = len(ends)
+        ends.append((a, b))
+        origin.append(origin[ea] + origin[eb])
+        ends[ea] = ends[eb] = None
+        for y in (a, b):
+            if caps[y] == 1 and len(nbrs[y]) == 2:
+                heapq.heappush(series, y)
+    keep = [i for i, e in enumerate(ends) if e is not None]
+    return [ends[i] for i in keep], [origin[i] for i in keep]
 
 
 def _unfold(g: Graph, actions, colors: list[int | None], total: int) -> int:

@@ -11,16 +11,18 @@ from brutes import all_capacity_maps, connected_graphs_upto, dumb_sigma
 from maxec import (
     EdgeColoring,
     Graph,
+    MCISInstance,
     OracleLimitError,
     ValidityProfile,
     gen_random,
     gen_two_factor,
     is_two_factor,
+    reduce_mcis,
     sigma_exact,
     solve_exact,
     verify_coloring,
 )
-from maxec.oracle import decide
+from maxec.oracle import _fold_pendants, decide
 
 # expected values computed by the naive enumerator and checked by hand
 # where feasible (cycles reach n, paths reach m, stars cap at 2)
@@ -239,6 +241,62 @@ def test_pendant_folding_keeps_room_above_capacity_two():
     assert verify_coloring(claw, res.witness, profile).colors_used == 3
     assert sigma_exact(claw, profile).sigma >= 3
     assert sigma_exact(claw, profile).sigma < 4
+
+
+def test_capacity_one_chain_collapses_to_one_edge():
+    # two triangles joined by the chain 0-6-7-3 whose inner vertices have
+    # capacity 1: 6 and then 7 are contracted, leaving the core edge (0, 3)
+    g = Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                  (0, 6), (6, 7), (3, 7)])
+    caps = (2, 2, 2, 2, 2, 2, 1, 1)
+    core, _, actions, origin = _fold_pendants(g, list(caps))
+    chain = [g.edge_id(0, 6), g.edge_id(6, 7), g.edge_id(3, 7)]
+    assert not actions
+    assert core.edges == g.edges[:6] + ((0, 3),)
+    assert sorted(origin[-1]) == chain
+    profile = ValidityProfile(f=caps)
+    res = sigma_exact(g, profile)
+    assert res.sigma == 5 == dumb_sigma(g, list(caps))
+    assert len({res.witness.colors[e] for e in chain}) == 1
+    check = verify_coloring(g, res.witness, profile)
+    assert check.valid and check.colors_used == 5
+
+
+def test_series_rule_skips_adjacent_neighbors():
+    # in a triangle a-x-b the contraction would double the edge (a, b)
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    caps = (2, 1, 2)
+    core, _, _, origin = _fold_pendants(g, list(caps))
+    assert core.edges == g.edges and origin == [[0], [1], [2]]
+    profile = ValidityProfile(f=caps)
+    res = sigma_exact(g, profile)
+    assert res.sigma == 2 == dumb_sigma(g, list(caps))
+    assert verify_coloring(g, res.witness, profile).colors_used == 2
+
+
+@pytest.mark.parametrize("base, parts, yes", [
+    (Graph(3, [(0, 1), (1, 2), (0, 2)]), ((0, 1), (2,)), False),
+    (Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), ((0, 1), (2, 3)), True),
+])
+def test_gadget_arms_collapse_to_three_edges_per_base_edge(base, parts, yes):
+    # every base vertex keeps degree 3, so only the arms contract: each
+    # arm u-e_u-e_u2-e_3 becomes (u, e_3), and e_3 keeps its apex edge
+    ann = reduce_mcis(MCISInstance(base, parts))
+    g = ann.graph
+    core, _, actions, origin = _fold_pendants(g, list(ann.f))
+    assert not actions
+    assert core.m == g.m - 4 * base.m
+    apex = base.n + len(parts)
+    for eid, (u, v) in enumerate(base.edges):
+        e3 = apex + 3 + 5 * eid
+        assert sorted(w for _, w in core.adj[e3]) == [u, v, apex]
+        assert all(core.degree(w) == 0 for w in range(e3 - 2, e3 + 3) if w != e3)
+    arms = 2 * base.m
+    assert sorted(map(len, origin)) == [1] * (core.m - arms) + [3] * arms
+    res = sigma_exact(g, ann.profile, edge_limit=None)
+    assert (res.sigma >= ann.threshold) == yes
+    check = verify_coloring(g, res.witness, ann.profile)
+    assert check.valid and check.colors_used == res.sigma
 
 
 def test_color_count_may_exceed_vertex_count():

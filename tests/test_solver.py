@@ -785,9 +785,11 @@ class TestRace:
         assert res.yes and res.engine == "palettes"
 
     def test_each_engine_answers_some_question(self):
-        yes = solve_exact(gen_random(20, 0.12, 264274), 12)
+        # sigma is 10; the oracle's NO at 11 takes about 50,000 nodes, far
+        # past the slices in which the palette search finishes
+        yes = solve_exact(gen_random(20, 0.12, 761111), 10)
         assert yes.yes and yes.engine == "oracle"
-        no = solve_exact(gen_random(20, 0.12, 264274), 13)
+        no = solve_exact(gen_random(20, 0.12, 761111), 11)
         assert not no.yes and no.engine == "palettes"
         # counting and preprocessing answer without an engine
         assert solve_exact(C5, 6).engine is None
