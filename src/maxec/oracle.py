@@ -61,11 +61,22 @@ only moves on a strictly larger count. So the search meets the same
 improving leaves in the same order as with the plain room bound, and the
 witness is the same first optimum in the core's edge order.
 
-Backing up to position pos, its remaining old classes are skipped once
-``classes + (m - pos - 1) <= best``: an old class keeps ``classes``, so the
-next position would fail its entry bound at once. Without the skip a long
-cycle tries every old class at every position after its first optimum,
-which is quadratic.
+A class is tried at pos only when the child it makes can pass that entry
+bound; this child-bound check runs at entry and again, with the current
+``best``, when the search backs up to pos. The child's room is ``room``,
+minus one for each endpoint that gains the class, minus all the remaining
+room of an endpoint whose last edge this is. Only an endpoint that gains
+the class can leave the owed set, so the child owes at least the current
+owed count minus the owed bits of those endpoints. Whether an endpoint
+gains depends only on whether its palette holds the class, so the old
+classes fall into four masks, each passing or failing as a whole. An old
+class keeps ``classes``, so all of them are skipped once ``classes + (m -
+pos - 1) <= best``; without that skip a long cycle tries every old class
+at every position after its first optimum, which is quadratic. The check
+uses no capacity value beyond the counts above, and it drops only
+children that would fail their entry bound at once and hand the search
+back to the next class at pos. So the search meets the same improving
+leaves in the same order, and finds the same witness, in fewer nodes.
 
 Connected components are solved independently and summed; the number of
 colors is additive because components can always use disjoint palettes.
@@ -361,6 +372,7 @@ def _search(n: int, edges, caps, floor: int | None = None, left: int = -1):
     assign = [0] * m  # class per position
     gained = [0] * m  # undo flags per position: 1 u, 2 v, 4 new class
     owes = [0] * m  # owed bitmask at entry, per position
+    rooms = [0] * m  # room at entry, per position
     rest = [0] * m  # old classes still to try per position
     classes = pos = 0
     best = 0 if floor is None else floor
@@ -369,50 +381,77 @@ def _search(n: int, edges, caps, floor: int | None = None, left: int = -1):
         left -= 1
         if not left:
             left = yield
-        a = -1
+        fresh = entered = False
         if pos == m:
             if classes > best:
                 best, best_assign = classes, assign[:]
                 if floor is not None:
                     return best, best_assign, left
-        elif not dead and classes + min(m - pos, (room - owed.bit_count()) // 2) > best:
+        # a position reached through the child-bound check already has
+        # classes + m - pos > best, and at pos 0 a floor of m or more lets
+        # that check pass no class, so the entry test keeps only its room half
+        elif not dead and classes + (room - owed.bit_count()) // 2 > best:
             u, v = edges[pos]
             ru, rv = size[u] < caps[u], size[v] < caps[v]
             every = (1 << classes) - 1
-            old = (every if ru else pal[u]) & (every if rv else pal[v])
-            if ru and rv:
-                a = classes
-            elif old:
-                a = (old & -old).bit_length() - 1
-                old &= old - 1
-            rest[pos] = 0 if last[u] == pos == last[v] else old
-        while a < 0:  # back up to the last position with a class to try
-            if pos == 0:
-                return best, best_assign, left
-            pos -= 1
-            u, v = edges[pos]
-            bit, flags = 1 << assign[pos], gained[pos]
-            if last[u] == pos:
-                room += caps[u] - size[u]
-            if last[v] == pos:
-                room += caps[v] - size[v]
-            if flags & 1:
-                pal[u] ^= bit
-                size[u] -= 1
-                room += 1
-            if flags & 2:
-                pal[v] ^= bit
-                size[v] -= 1
-                room += 1
-            if flags & 4:
-                classes -= 1
-            owed, dead = owes[pos], False
+            rest[pos] = (every if ru else pal[u]) & (every if rv else pal[v])
+            fresh = ru and rv
+            entered = True
+        a = -1
+        while a < 0:
+            if not entered:  # back up one position
+                if pos == 0:
+                    return best, best_assign, left
+                pos -= 1
+                u, v = edges[pos]
+                bit, flags = 1 << assign[pos], gained[pos]
+                if flags & 1:
+                    pal[u] ^= bit
+                    size[u] -= 1
+                if flags & 2:
+                    pal[v] ^= bit
+                    size[v] -= 1
+                if flags & 4:
+                    classes -= 1
+                owed, room, dead = owes[pos], rooms[pos], False
+            entered = False
             old = rest[pos]
-            if old and classes + m - pos - 1 > best:
-                a = (old & -old).bit_length() - 1
-                rest[pos] = old & (old - 1)
+            t = best - classes  # what the child must beat past its classes
+            if not (fresh or old) or m - pos - 1 < t:
+                continue
+            # s: the child's room minus its owed count, less 2t, when no
+            # endpoint gains; du, dv: what a gain at u or at v takes off it
+            s = room - owed.bit_count() - 2 * t
+            du = dv = 1
+            if last[u] == pos:
+                s -= caps[u] - size[u]
+                du = 0
+            if last[v] == pos:
+                s -= caps[v] - size[v]
+                dv = 0
+            du -= owed >> u & 1
+            dv -= owed >> v & 1
+            if fresh and s >= du + dv:
+                a = classes
+                if last[u] == pos == last[v]:
+                    rest[pos] = 0
+            elif old and m - pos - 1 > t:
+                s -= 2
+                pu, pv = pal[u], pal[v]
+                if s < 0:
+                    old &= ~(pu & pv)
+                if s < du:
+                    old &= pu | ~pv
+                if s < dv:
+                    old &= pv | ~pu
+                if s < du + dv:
+                    old &= pu | pv
+                if old:
+                    a = (old & -old).bit_length() - 1
+                    rest[pos] = 0 if last[u] == pos == last[v] else old & (old - 1)
+            fresh = False
         bit, flags = 1 << a, 0
-        owes[pos] = owed
+        owes[pos], rooms[pos] = owed, room
         # an endpoint that gained nothing shares the class with the other
         # end, so no later edge made it owed through that end: its bit stands
         for x, flag, far in ends[pos]:
@@ -437,7 +476,6 @@ def _search(n: int, edges, caps, floor: int | None = None, left: int = -1):
                             owed |= 1 << w
                         else:
                             dead = True
-        u, v = edges[pos]
         if last[u] == pos:
             room -= caps[u] - size[u]
         if last[v] == pos:
