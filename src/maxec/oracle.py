@@ -14,6 +14,19 @@ adding, merging or splitting one class (``_fold_pendants``), so the optimum
 is preserved exactly; the tests cross-check the oracle against a
 pruning-free enumerator.
 
+The same worklist deletes free edges. An edge e = (x, y) is free when
+deg(x) <= c(x) and deg(y) <= c(y), with c the capacity; under the
+default profile, both ends have degree at most 2. Then sigma(G) =
+sigma(G - e) + 1, with every capacity unchanged. For >=, x shows at most
+deg(x) - 1 <= c(x) - 1 colors in a coloring of G - e, and so does y, so
+e can take a new color. For <=, dropping e from a coloring of G loses at
+most e's own class. A deletion lowers two degrees; where one falls to 1,
+pendant folds follow, so one deletion peels a whole path, and a cycle
+goes entirely. This is the free-edge twin of the dual kernel's rule,
+which contracts two adjacent degree-2 vertices
+(``kernels.kernelize_dual``); the palette search of the solver deletes
+free edges too.
+
 Folding is followed by a series rule (``_contract_series``): while some
 vertex x of capacity 1 has exactly two neighbors a and b that are not
 adjacent, the path a-x-b becomes the one edge (a, b). Since x has
@@ -21,8 +34,10 @@ capacity 1, its two edges share one color in every valid coloring, and
 giving (a, b) that color leaves pal(a), pal(b) and the class count
 unchanged; in reverse, both edges of x take the color of (a, b), and
 pal(x) is that one color. So sigma is unchanged. A contraction changes
-no vertex's degree, so it cannot make a new pendant, and folding first
-is enough. A capacity-1 chain, such as an arm of a ``reduce_mcis``
+no vertex's degree, so it cannot make a new pendant. It can make its new
+edge (a, b) free, when a and b both have degree at most their capacity;
+the worklist has finished by then and does not look again, so the core
+keeps that edge. A capacity-1 chain, such as an arm of a ``reduce_mcis``
 gadget, collapses to one edge. The core's edge order is the surviving
 edges in id order, then each contracted edge in the order it was made;
 every core edge keeps the original edge ids it stands for, and each of
@@ -101,6 +116,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 
 from .graphs import DEFAULT_PROFILE, EdgeColoring, Graph, ValidityProfile
 
@@ -212,11 +228,12 @@ def _check_limit(g: Graph, edge_limit: int | None) -> None:
 
 
 def _fold_pendants(g: Graph, caps: list[int]):
-    """Peel degree-1 vertices, then contract series vertices
-    (``_contract_series``); returns the core graph, its capacities (the
-    list ``caps``, updated in place), the fold actions in application
-    order, and per core edge the original edge ids it stands for. The core
-    has no vertex of degree 1.
+    """Peel degree-1 vertices and delete free edges, then contract series
+    vertices (``_contract_series``); returns the core graph, its
+    capacities (the list ``caps``, updated in place), the fold actions in
+    application order, and per core edge the original edge ids it stands
+    for. The core has no vertex of degree 1 and no free edge between two
+    vertices of degree 2 or more, unless a contraction made one.
 
     Folding pendant edge (p, v), with p of degree 1 and c(v) the capacity
     of v in the current graph G, where G - e keeps every other capacity:
@@ -235,31 +252,57 @@ def _fold_pendants(g: Graph, caps: list[int]):
       v's other edges carry its single color, e must repeat it, so dropping
       e loses no class, and adding e back with that color changes no palette.
 
+    Deleting a free edge e = (x, y) is a "fresh" action that changes no
+    capacity: sigma(G) = sigma(G - e) + 1 (module docstring). A vertex is
+    *loose* when 2 <= deg <= c, so its capacity is at least 2. A pendant
+    fold lowers deg(v), and when it lowers c(v) too it lowers both by one;
+    a deletion lowers the degrees of two loose vertices. So no fold makes a
+    vertex loose, and the one degree pass that finds the pendants finds
+    every loose vertex too. Popped with degree 2 or more, a loose vertex x
+    deletes its edge to each neighbor that is still loose, each one free
+    since deg(x) only falls. x then has no loose neighbor, and none can
+    appear, so it is never looked at again; an end that falls to degree 1
+    joins the worklist as a pendant. An edge to a pendant is left to the
+    pendant fold.
+
     Each action is (kind, edge id, v); ``_unfold`` replays them in reverse.
     """
+    adj = g.adj
     alive = [True] * g.m
-    deg = [g.degree(v) for v in range(g.n)]
-    heap = [v for v in range(g.n) if deg[v] == 1]
-    heapq.heapify(heap)
+    deg = [len(nbrs) for nbrs in adj]
+    work = [v for v, d in enumerate(deg) if d == 1 or 2 <= d <= caps[v]]
+    heapq.heapify(work)
     actions: list[tuple[str, int, int]] = []
-    while heap:
-        p = heapq.heappop(heap)
-        if deg[p] != 1:
-            continue
-        (eid, v) = next((e, w) for e, w in g.adj[p] if alive[e])
-        alive[eid] = False
-        deg[p] = 0
-        deg[v] -= 1
-        if deg[v] == 0 or caps[v] >= 2:
-            actions.append(("fresh", eid, v))
-            caps[v] -= 1
-        else:
-            actions.append(("reuse", eid, v))
-        if deg[v] == 1:
-            heapq.heappush(heap, v)
-    ends = [g.edges[eid] for eid in range(g.m) if alive[eid]]
-    origin = [[eid] for eid in range(g.m) if alive[eid]]
-    series = [x for x in range(g.n) if deg[x] == 2 and caps[x] == 1]
+    while work:
+        x = heapq.heappop(work)
+        if deg[x] == 1:
+            for eid, v in adj[x]:
+                if alive[eid]:
+                    break
+            alive[eid] = False
+            deg[x] = 0
+            deg[v] -= 1
+            if deg[v] == 0 or caps[v] >= 2:
+                actions.append(("fresh", eid, v))
+                caps[v] -= 1
+            else:
+                actions.append(("reuse", eid, v))
+            if deg[v] == 1:
+                heapq.heappush(work, v)
+        elif deg[x]:  # loose: only the degree pass queues x with degree 2 or more
+            for eid, y in adj[x]:
+                if alive[eid] and 2 <= deg[y] <= caps[y]:
+                    alive[eid] = False
+                    deg[x] -= 1
+                    deg[y] -= 1
+                    actions.append(("fresh", eid, x))
+                    if deg[y] == 1:
+                        heapq.heappush(work, y)
+            if deg[x] == 1:
+                heapq.heappush(work, x)
+    ends = list(compress(g.edges, alive))
+    origin = [[eid] for eid in compress(range(g.m), alive)]
+    series = [x for x, d in enumerate(deg) if d == 2 and caps[x] == 1]
     if series:
         ends, origin = _contract_series(g.n, caps, ends, origin, series)
     return Graph(g.n, ends), caps, actions, origin
@@ -304,10 +347,10 @@ def _unfold(g: Graph, actions, colors: list[int | None], total: int) -> int:
     """Replay fold actions in reverse, assigning the folded edges' colors.
 
     Caps only fall while folding, so every "reuse" fold at v comes after the
-    last fold that found v with capacity 2 or more. At each "reuse" replay,
-    v's colored edges are those of a graph where v has capacity 1, so they
-    share one color that later replays never change: it is looked up once
-    per vertex.
+    last fold that found v with capacity 2 or more; a free-edge deletion
+    finds both its ends so. At each "reuse" replay, v's colored edges are
+    those of a graph where v has capacity 1, so they share one color that
+    later replays never change: it is looked up once per vertex.
     """
     shared: dict[int, int] = {}
     for kind, eid, v in reversed(actions):

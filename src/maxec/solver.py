@@ -16,16 +16,26 @@ spent, takes its next budget from ``send``, and returns its answer. The
 two alternate on slices of ``_FIRST_SLICE`` nodes and then twice the
 previous slice each time, the oracle first, and the first to finish
 answers. A node is one search position of the oracle and one call of the
-enumeration's ``rec``; the palette search builds its tables inside its
-first slice, so a question that the oracle settles first never pays for
-them. Slices count nodes, so the engine that answers depends only on
-(g, k). A NO from either engine is exact; the oracle's YES may show
-more than k colors and is merged down to k (``compress_colors``), and
-every YES is verified.
+enumeration's ``rec``; the palette search removes free edges and builds
+its tables inside its first slice, so a question that the oracle settles
+first never pays for them. Slices count nodes, so the engine that
+answers depends only on (g, k). A NO from either engine is exact; a YES
+may show more than k colors, the oracle's or the palette search's when
+the free edges alone reach k, and is merged down to k
+(``compress_colors``), and every YES is verified.
 
-The palette search runs over a minimum vertex cover S, found by
-``_min_cover`` with the 2r matched endpoints as its first incumbent, so
-|S| <= 2r <= 2k - 4. No step needs S to come from a matching: palettes
+Both engines delete free edges. An edge is free when both its ends have
+degree at most 2, and then sigma(G) = sigma(G - e) + 1 (the proof is in
+the ``oracle`` module docstring). A deletion lowers the degrees of two
+vertices of degree at most 2, so it makes no new free edge, and the
+palette search finds the whole set F in one pass over the edges. It
+reruns matching preprocessing on G - F at k - |F|, searches what that
+leaves open, and gives each edge of F a fresh color, so a witness of
+G - F with k - |F| >= 1 colors gives exactly k on G.
+
+The palette search runs over a minimum vertex cover S of the graph it
+searches, found by ``_min_cover`` with the 2r matched endpoints as its
+first incumbent, so |S| <= 2r <= 2k - 4 for the k it decides. No step needs S to come from a matching: palettes
 sit on cover vertices, and every other vertex has all its neighbors in S.
 The search guesses a palette assignment tau giving each cover vertex its
 final color set (size 1 or 2), placing the cover vertices breadth-first
@@ -644,29 +654,56 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
         if lifted.k != k:
             raise AssertionError("lifted witness failed verification")
         return SolveResult(True, lifted, res.stats, res.engine)
-    engine, colors = _race({"oracle": decide(g, k),
-                            "palettes": _palettes(g, pre.cover, k, stats)})
+    engine, colors = _race({"oracle": decide(g, k), "palettes": _palettes(g, k, stats)})
     if colors is None:
         return SolveResult(False, None, stats, engine)
-    # the oracle's coloring may show more than k colors
+    # the oracle's coloring may show more than k colors, and so may the
+    # palette search's when the free edges alone reach k (``_palettes``)
     witness = compress_colors(EdgeColoring(colors), k)
     return SolveResult(True, _checked(g, witness, k), stats, engine)
 
 
-def _palettes(g: Graph, cover: tuple[int, ...], k: int, stats: SolveStats):
-    """The palette search as an engine of ``_race``. It builds its tables
-    in its first slice, so a race that the oracle wins first never pays
-    for them, then runs the budgeted enumeration, which pauses for it and
-    settles each palette. Returns the colors per edge of a witness, or
-    None."""
+def _palettes(g: Graph, k: int, stats: SolveStats):
+    """The palette search as an engine of ``_race``. Returns the colors per
+    edge of a witness, or None.
+
+    Its set-up runs inside its first slice, so a race that the oracle wins
+    first never pays for it. It deletes the free edges F (module
+    docstring) and decides G - F at k - |F|: matching
+    preprocessing may settle that at once; otherwise it builds its tables
+    and runs the budgeted enumeration, which pauses for it and settles each
+    palette. Each edge of F then takes a fresh color, so a witness with
+    k - |F| >= 1 colors on G - F gives exactly k on g.
+    """
     left = yield
-    tables = _Tables(g, _cover_order(g, _min_cover(g, cover)))
+    deg = [len(nbrs) for nbrs in g.adj]
+    kept, free = [], []
+    for eid, (u, v) in enumerate(g.edges):
+        (free if deg[u] <= 2 and deg[v] <= 2 else kept).append(eid)
+    h = Graph(g.n, [g.edges[eid] for eid in kept])
+    rest = k - len(free)
+    pre = matching_preprocess(h, max(rest, 0))
+    if isinstance(pre, ForcedNo):
+        return None
+    if isinstance(pre, ForcedYes):
+        found = pre.witness.colors
+    else:
+        tables = _Tables(h, _cover_order(h, _min_cover(h, pre.cover)))
 
-    def settle(tau: tuple[int, ...]) -> list[int] | None:
-        stats.palettes += 1
-        return _settle(g, tables, tau, k, stats)
+        def settle(tau: tuple[int, ...]) -> list[int] | None:
+            stats.palettes += 1
+            return _settle(h, tables, tau, rest, stats)
 
-    return (yield from _enum_tau_masks(tables, k, settle, left))
+        found = yield from _enum_tau_masks(tables, rest, settle, left)
+        if found is None:
+            return None
+    colors = [0] * g.m
+    for eid, c in zip(kept, found):
+        colors[eid] = c
+    fresh = max(found, default=-1) + 1
+    for i, eid in enumerate(free):
+        colors[eid] = fresh + i
+    return colors
 
 
 def _race(engines: dict) -> tuple:

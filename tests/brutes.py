@@ -17,10 +17,13 @@ decider.
 The reference loaders (``ref_load_instance``, ``ref_load_coloring``) and
 ``ref_has_c4`` are the package's earlier per-line parsers and unfiltered
 four-cycle scan, kept to pin the faster versions to the same answers.
+``ref_free_edges`` deletes free edges one at a time, as the free-edge
+rule states them, where the palette search finds them in one pass.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 
 from maxec import EdgeColoring, Graph, GraphError, SolveResult, SolveStats, solver
@@ -126,6 +129,20 @@ def graphs_upto_seven() -> list[Graph]:
                 (v, 6) for v in range(6) if nbrs >> v & 1
             ]))
     return out
+
+
+@cache
+def graphs_with_free_edges() -> tuple[tuple[Graph, tuple[int, ...], int], ...]:
+    """Each graph of ``graphs_upto_seven()`` with a free edge, one whose
+    ends both have degree at most 2, as (graph, its free edge ids, sigma by
+    ``dumb_sigma``). Cached, since two test modules walk it."""
+    out = []
+    for g in graphs_upto_seven():
+        free = tuple(e for e, (u, v) in enumerate(g.edges)
+                     if g.degree(u) <= 2 and g.degree(v) <= 2)
+        if free:
+            out.append((g, free, dumb_sigma(g)))
+    return tuple(out)
 
 
 def brute_min_cover(g: Graph) -> int:
@@ -364,6 +381,26 @@ def ref_palette_search(g: Graph, cover: tuple[int, ...], k: int):
         if colors is not None:
             return colors, stats
     return None, stats
+
+
+def ref_free_edges(g: Graph) -> tuple[list[int], list[int]]:
+    """(kept, deleted) edge ids, each ascending, after deleting free edges
+    one at a time, the smallest id first, until none is left: an edge is
+    free when both its ends have degree at most 2 in the graph left so
+    far."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.m))
+    deleted = []
+    while True:
+        free = [e for e in sorted(alive)
+                if deg[g.edges[e][0]] <= 2 and deg[g.edges[e][1]] <= 2]
+        if not free:
+            return sorted(alive), sorted(deleted)
+        e = free[0]
+        alive.remove(e)
+        deleted.append(e)
+        for v in g.edges[e]:
+            deg[v] -= 1
 
 
 def stalled_decide(g: Graph, k: int):

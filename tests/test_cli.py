@@ -230,7 +230,8 @@ class TestSigma:
         assert "Traceback" not in err
 
     def test_long_cycle_answers(self, cli, tmp_path):
-        # a cycle has no pendant to fold, so the oracle searches all of it
+        # the fold peels the cycle: one free edge goes, then pendant folds
+        # take the 2999-edge path one edge at a time, without recursion
         cycle = Graph(3000, [(i, (i + 1) % 3000) for i in range(3000)])
         graph, witness = tmp_path / "c.gr", tmp_path / "c.col"
         graph.write_text(render_graph(cycle))

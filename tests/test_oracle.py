@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brutes import all_capacity_maps, connected_graphs_upto, dumb_sigma
+from brutes import all_capacity_maps, connected_graphs_upto, dumb_sigma, graphs_with_free_edges
 from maxec import (
     EdgeColoring,
     Graph,
@@ -22,7 +22,7 @@ from maxec import (
     solve_exact,
     verify_coloring,
 )
-from maxec.oracle import _fold_pendants, decide
+from maxec.oracle import _finish, _fold_pendants, _search, decide
 
 # expected values computed by the naive enumerator and checked by hand
 # where feasible (cycles reach n, paths reach m, stars cap at 2)
@@ -108,16 +108,34 @@ def test_threshold_on_disconnected_graphs():
 
 def test_capacity_profiles_exhaustively():
     # capacity-1 vertices are where the owed-room rule and the dead-edge
-    # cut fire most, so this reaches 6 vertices
+    # cut fire most, so this reaches 6 vertices; under uniform capacities
+    # 3 and 4, an edge between two vertices of degree 3 is free as well
     graphs = [g for g in connected_graphs_upto(6) if g.n < 6 or g.m <= 9]
+    assert any(g.degree(u) == 3 == g.degree(v) for g in graphs for u, v in g.edges)
     for g in graphs:
-        for caps in all_capacity_maps(g.n):
-            profile = ValidityProfile(f=caps)
+        profiles = [ValidityProfile(f=caps) for caps in all_capacity_maps(g.n)]
+        profiles += [ValidityProfile(q=3), ValidityProfile(q=4)]
+        for profile in profiles:
+            caps = list(profile.capacities(g.n))
             res = sigma_exact(g, profile=profile, edge_limit=None)
-            assert res.sigma == dumb_sigma(g, list(caps)), (g.edges, caps)
+            assert res.sigma == dumb_sigma(g, caps), (g.edges, caps)
             check = verify_coloring(g, res.witness, profile)
             assert check.valid
             assert check.colors_used == res.sigma
+
+
+def test_free_edge_rule_on_every_small_graph():
+    # sigma(G) = sigma(G - e) + 1 for every free edge e, one whose ends
+    # both have degree at most 2, of every graph with up to 7 vertices, by
+    # the pruning-free enumerator; the oracle, which deletes free edges
+    # while it folds, finds the same sigma on G
+    checked = 0
+    for g, free, sigma in graphs_with_free_edges():
+        assert sigma_exact(g, edge_limit=None).sigma == sigma, g.edges
+        for e in free:
+            assert dumb_sigma(Graph(g.n, g.edges[:e] + g.edges[e + 1:])) + 1 == sigma, (g.edges, e)
+            checked += 1
+    assert checked > 4000
 
 
 def test_larger_draws_keep_their_optimum():
@@ -244,34 +262,39 @@ def test_pendant_folding_keeps_room_above_capacity_two():
 
 
 def test_capacity_one_chain_collapses_to_one_edge():
-    # two triangles joined by the chain 0-6-7-3 whose inner vertices have
-    # capacity 1: 6 and then 7 are contracted, leaving the core edge (0, 3)
-    g = Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                  (0, 6), (6, 7), (3, 7)])
-    caps = (2, 2, 2, 2, 2, 2, 1, 1)
+    # K_{2,3} with parts {0, 1} and {2, 3, 4}, plus the chain 0-5-6-1 whose
+    # inner vertices have capacity 1; the degree-2 vertices 2, 3 and 4 meet
+    # only 0 and 1, of degree 4, so no edge is free. 5 and then 6 are
+    # contracted, leaving the core edge (0, 1)
+    g = Graph(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
+                  (0, 5), (5, 6), (1, 6)])
+    caps = (2, 2, 2, 2, 2, 1, 1)
     core, _, actions, origin = _fold_pendants(g, list(caps))
-    chain = [g.edge_id(0, 6), g.edge_id(6, 7), g.edge_id(3, 7)]
+    chain = [g.edge_id(0, 5), g.edge_id(5, 6), g.edge_id(1, 6)]
     assert not actions
-    assert core.edges == g.edges[:6] + ((0, 3),)
+    assert core.edges == g.edges[:6] + ((0, 1),)
     assert sorted(origin[-1]) == chain
     profile = ValidityProfile(f=caps)
     res = sigma_exact(g, profile)
-    assert res.sigma == 5 == dumb_sigma(g, list(caps))
+    assert res.sigma == 3 == dumb_sigma(g, list(caps))
     assert len({res.witness.colors[e] for e in chain}) == 1
     check = verify_coloring(g, res.witness, profile)
-    assert check.valid and check.colors_used == 5
+    assert check.valid and check.colors_used == 3
 
 
 def test_series_rule_skips_adjacent_neighbors():
-    # in a triangle a-x-b the contraction would double the edge (a, b)
-    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    caps = (2, 1, 2)
-    core, _, _, origin = _fold_pendants(g, list(caps))
-    assert core.edges == g.edges and origin == [[0], [1], [2]]
+    # x = 4 has capacity 1 and the adjacent neighbors 0 and 1 of K4, where
+    # the contraction would double the edge (0, 1); every other vertex has
+    # degree 3 or more, so no edge is free
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)])
+    caps = (2, 2, 2, 2, 1)
+    core, _, actions, origin = _fold_pendants(g, list(caps))
+    assert not actions
+    assert core.edges == g.edges and origin == [[e] for e in range(g.m)]
     profile = ValidityProfile(f=caps)
     res = sigma_exact(g, profile)
-    assert res.sigma == 2 == dumb_sigma(g, list(caps))
-    assert verify_coloring(g, res.witness, profile).colors_used == 2
+    assert res.sigma == 3 == dumb_sigma(g, list(caps))
+    assert verify_coloring(g, res.witness, profile).colors_used == 3
 
 
 @pytest.mark.parametrize("base, parts, yes", [
@@ -351,12 +374,16 @@ def test_many_components_and_a_wide_star():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_long_cycle_covers_search_without_recursion(seed):
-    # a cycle cover has no pendant to fold: the search walks 3000 positions
+    # the fold peels every cycle through the free-edge rule, so the search
+    # is run directly on the cover: it walks 3000 positions
     g = gen_two_factor(3000, seed)
+    best, assign, _ = _finish(_search(g.n, g.edges, [2] * g.n))
+    assert best == 3000
+    check = verify_coloring(g, EdgeColoring(assign))
+    assert check.valid and check.colors_used == 3000
     res = sigma_exact(g, edge_limit=None)
     assert res.sigma == 3000
-    check = verify_coloring(g, res.witness)
-    assert check.valid and check.colors_used == 3000
+    assert verify_coloring(g, res.witness).colors_used == 3000
 
 
 def test_chorded_cycles_match_naive():

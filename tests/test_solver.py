@@ -12,8 +12,10 @@ from brutes import (
     brute_min_cover,
     connected_graphs_upto,
     graphs_upto_seven,
+    graphs_with_free_edges,
     ref_coverable,
     ref_enum_tau_masks,
+    ref_free_edges,
     ref_palette_feasible,
     ref_palette_search,
     ref_realizable,
@@ -569,11 +571,15 @@ class TestMemoizedSearch:
 def _differential_check(g):
     """``solve_exact`` with the decider stalled against the loop reference
     enumeration fed to the same per-palette search, at every k the palette
-    search decides. Where the
-    twin trim fires, the reference searches the trimmed graph and its
-    witness is lifted back; a trimmed question that the trimmed graph's
-    counts settle (k >= n' or m' < k) gets zero counters and the oracle's
-    verdict. Returns the questions checked and how many were trimmed."""
+    search decides. Where the twin trim fires, the reference searches the
+    trimmed graph and its witness is lifted back; a trimmed question that
+    the trimmed graph's counts settle (k >= n' or m' < k) gets zero
+    counters and the oracle's verdict. The reference then deletes the free
+    edges F (``brutes.ref_free_edges``) and searches what is left at
+    k - |F|, giving each edge of F a fresh color; when matching
+    preprocessing settles that question, the counters are zero and the
+    verdict is the oracle's. Returns the questions checked and how many
+    were trimmed."""
     checked = trimmed = 0
     for k in range(2, g.n):
         pre = matching_preprocess(g, k)
@@ -581,6 +587,7 @@ def _differential_check(g):
             continue
         res = solve_exact(g, k)
         where = f"n={g.n} edges={g.edges} k={k}"
+        want = sigma_exact(g, edge_limit=None).sigma >= k
         checked += 1
         h = g
         if actions := [a for a in _twin_deletions(g, pre.cover)
@@ -590,15 +597,29 @@ def _differential_check(g):
             h = kern.verdict.graph
             if k >= h.n or h.m < k:
                 assert astuple(res.stats) == astuple(SolveStats()), where
-                want = sigma_exact(g, edge_limit=None).sigma >= k
                 assert res.yes == want, where
                 continue
-        order = _cover_order(h, _min_cover(h, matching_preprocess(h, k).cover))
-        colors, ref = ref_palette_search(h, order, k)
+        kept, free = ref_free_edges(h)
+        core = Graph(h.n, [h.edges[e] for e in kept])
+        rest = k - len(free)
+        core_pre = matching_preprocess(core, max(rest, 0))
+        if not isinstance(core_pre, Continue):
+            assert astuple(res.stats) == astuple(SolveStats()), where
+            assert res.yes == want, where
+            continue
+        order = _cover_order(core, _min_cover(core, core_pre.cover))
+        colors, ref = ref_palette_search(core, order, rest)
+        if colors is not None:
+            full = [0] * h.m
+            for e, c in zip(kept, colors):
+                full[e] = c
+            for i, e in enumerate(free):
+                full[e] = rest + i
+            colors = full
         if colors is not None and h is not g:
             lifted = lift_coloring(g, h, kern.lifting, EdgeColoring(colors))
             colors = list(lifted)
-        assert res.yes == (colors is not None), where
+        assert res.yes == (colors is not None) == want, where
         assert (None if res.witness is None else list(res.witness)) == colors, where
         assert astuple(res.stats) == astuple(ref), where
     return checked, trimmed
@@ -609,7 +630,8 @@ class TestPrunedSearch:
     """The memoized search, with its dead-prefix and color-count cuts,
     walks the reference's palettes in the reference's order, so the
     verdict, the witness and every counter equal those of the loop
-    reference, on the trimmed graph where the twin trim fires."""
+    reference, on the trimmed graph where the twin trim fires, with the
+    free edges deleted."""
 
     def test_small_graphs(self):
         checked = trimmed = 0
@@ -636,18 +658,21 @@ class TestPrunedSearch:
 # the search runs on a minimum cover of 3 to 6 vertices, in _cover_order),
 # with the SolveStats fields and witness colors of the palette search
 # alone. The enumeration's closing rule leaves three of the NO questions
-# without a single palette
+# without a single palette. With their free edges deleted (3 and 4 of
+# them), (9, .25, 10) at k = 5 and (10, .25, 36) at k = 6 are settled by
+# matching preprocessing, so they count no palette, and each deleted edge
+# takes one of the top colors
 PINNED = [
     ((9, 0.2, 1), 5, (1, 1, 0, 1, 2), [0, 0, 1, 0, 0, 2, 4, 3]),
     ((9, 0.2, 1), 6, (0, 0, 0, 0, 0), None),
     ((9, 0.2, 28), 5, (1, 1, 0, 0, 0),
      [0, 2, 0, 0, 0, 0, 0, 1, 4, 3, 0, 0]),
-    ((9, 0.25, 10), 5, (1, 1, 0, 1, 2), [0, 2, 0, 3, 4, 0, 1, 0]),
+    ((9, 0.25, 10), 5, (0, 0, 0, 0, 0), [1, 2, 0, 3, 4, 0, 0, 0]),
     ((10, 0.2, 6), 5, (0, 0, 0, 0, 0), None),
-    ((10, 0.25, 36), 6, (1, 1, 0, 1, 4), [0, 2, 5, 3, 4, 0, 1, 0]),
+    ((10, 0.25, 36), 6, (0, 0, 0, 0, 0), [1, 2, 3, 4, 5, 0, 0, 0]),
     ((10, 0.25, 36), 7, (0, 0, 0, 0, 0), None),
-    ((11, 0.25, 3), 7, (1, 1, 0, 3, 2),
-     [0, 0, 1, 0, 4, 5, 6, 2, 3, 2]),
+    ((11, 0.25, 3), 7, (1, 1, 0, 2, 2),
+     [0, 1, 0, 0, 4, 5, 6, 2, 3, 2]),
     ((11, 0.3, 1), 7, (1, 1, 0, 0, 0), None),
 ]
 
@@ -678,13 +703,14 @@ class TestPinnedCounters:
 
 # the slowest questions of earlier versions (over 40 s together), each a
 # YES at sigma and a NO at sigma + 1: sigma from sigma_exact(edge_limit=None);
-# the counters are those of the palette search alone
+# the counters are those of the palette search alone. (40, .06, 8) has 10
+# free edges; without them its YES branches once, where it branched 3 times
 HEAVY = [
     ((20, 0.12, 264274), 12, (2, 3, 0, 2, 2), True),
     ((20, 0.12, 264274), 13, (0, 0, 0, 0, 0), False),
     ((21, 0.15, 131613), 13, (1, 3, 0, 2, 3), True),
     ((21, 0.15, 131613), 14, (0, 0, 0, 0, 0), False),
-    ((40, 0.06, 8), 18, (1, 1, 0, 3, 2), True),
+    ((40, 0.06, 8), 18, (1, 1, 0, 1, 2), True),
     ((40, 0.06, 8), 19, (0, 0, 0, 0, 0), False),
 ]
 
@@ -699,6 +725,24 @@ class TestHeavyTail:
         res = solve_exact(gen_random(*draw), k)
         assert astuple(res.stats) == counters
         assert res.yes == yes
+
+
+@pytest.mark.usefixtures("stalled")
+class TestFreeEdges:
+    """The palette search deletes the free edges, decides what is left at
+    k minus their number, and gives each of them a fresh color."""
+
+    def test_every_k_on_small_graphs_with_free_edges(self):
+        # every graph with up to 7 vertices that has a free edge, at every
+        # k, against the pruning-free enumerator; solve_exact verifies
+        # every witness it returns
+        searched = 0
+        for g, _, sigma in graphs_with_free_edges():
+            for k in range(g.n + 2):
+                res = solve_exact(g, k)
+                assert res.yes == (sigma >= k), (g.edges, k)
+                searched += res.engine == "palettes"
+        assert searched > 1000
 
 
 def _fake_engine(log, name, need):
