@@ -196,7 +196,7 @@ def _fold_and_search(g: Graph, caps: list[int], k: int | None = None, left: int 
     """
     colors: list[int | None] = [None] * g.m
     core, caps, actions, origin = _fold_pendants(g, caps)
-    comps = [comp for comp in _components(core, caps) if comp[1]]
+    comps = list(_components(core, caps))
     if k is not None and comps:
         comps.append(comps.pop(max(range(len(comps)), key=lambda i: len(comps[i][1]))))
         rest = k - sum(kind == "fresh" for kind, _, _ in actions)
@@ -367,7 +367,8 @@ def _unfold(g: Graph, actions, colors: list[int | None], total: int) -> int:
 
 
 def _components(g: Graph, caps):
-    """Per component: vertices, global edge ids, local edge list, local caps."""
+    """Per component with an edge: vertices, global edge ids, local edge
+    list, local caps."""
     comps = g.connected_components()
     comp_of = [0] * g.n
     local = [0] * g.n
@@ -379,6 +380,8 @@ def _components(g: Graph, caps):
     for eid, (u, _) in enumerate(g.edges):
         edge_ids[comp_of[u]].append(eid)
     for comp, ids in zip(comps, edge_ids):
+        if not ids:
+            continue
         local_edges = [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in ids]
         yield comp, ids, local_edges, [caps[v] for v in comp]
 

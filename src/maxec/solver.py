@@ -35,8 +35,9 @@ G - F with k - |F| >= 1 colors gives exactly k on G.
 
 The palette search runs over a minimum vertex cover S of the graph it
 searches, found by ``_min_cover`` with the 2r matched endpoints as its
-first incumbent, so |S| <= 2r <= 2k - 4 for the k it decides. No step needs S to come from a matching: palettes
-sit on cover vertices, and every other vertex has all its neighbors in S.
+first incumbent, so |S| <= 2r <= 2k - 4 for the k it decides. No step
+needs S to come from a matching: palettes sit on cover vertices, and
+every other vertex has all its neighbors in S.
 The search guesses a palette assignment tau giving each cover vertex its
 final color set (size 1 or 2), placing the cover vertices breadth-first
 (``_cover_order``) so that each neighborhood is complete early and the
@@ -669,10 +670,10 @@ def _palettes(g: Graph, k: int, stats: SolveStats):
 
     Its set-up runs inside its first slice, so a race that the oracle wins
     first never pays for it. It deletes the free edges F (module
-    docstring) and decides G - F at k - |F|: matching
-    preprocessing may settle that at once; otherwise it builds its tables
-    and runs the budgeted enumeration, which pauses for it and settles each
-    palette. Each edge of F then takes a fresh color, so a witness with
+    docstring) and decides G - F at k - |F|: matching preprocessing may
+    settle that at once; otherwise it builds its tables and runs the
+    budgeted enumeration, which pauses for it and settles each palette.
+    Each edge of F then takes a fresh color, so a witness with
     k - |F| >= 1 colors on G - F gives exactly k on g.
     """
     left = yield
