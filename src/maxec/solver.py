@@ -615,10 +615,11 @@ def solve_exact(g: Graph, k: int) -> SolveResult:
 
     Yes comes with a verified witness using exactly k colors (k >= 1; the
     k = 0 question is vacuous and answered with a plain valid coloring).
-    After a twin trim, the counters are those of the trimmed graph. A
-    question that counting or the matching preprocessing leaves open goes
+    A question that counting or the matching preprocessing leaves open goes
     to a race (``_race``) of the oracle's decider and the palette search
-    on the trimmed graph; ``engine`` names the one that answered.
+    on the trimmed graph; ``engine`` names the one that answered. The
+    counters are those of the palette search, which runs on the trimmed
+    graph without its free edges (``_palettes``).
     """
     if k < 0:
         raise ValueError("color count must be nonnegative")
