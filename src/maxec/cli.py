@@ -54,9 +54,14 @@ def main() -> None:
 
 def run(argv=None) -> int:
     """Parse and execute; returns the exit code instead of raising."""
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    # a named subcommand parses its own arguments: through the top-level
+    # parser they would be parsed twice
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -75,9 +80,12 @@ def run(argv=None) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # one tree per process: parse_args leaves the parser as it was, and
-    # building nine subcommands takes longer than many whole commands
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name.
+
+    One tree per process: parse_args leaves the parsers as they were, and
+    building nine subcommands takes longer than many whole commands.
+    """
     parser = argparse.ArgumentParser(
         prog="maxec",
         description="Exact maximum edge 2-coloring tools.",
@@ -168,14 +176,18 @@ def _build_parser() -> argparse.ArgumentParser:
     mcis.add_argument("instance", nargs="?", default="-")
     mcis.set_defaults(handler=_cmd_gen_mcis)
 
-    return parser
+    commands = {"solve": solve, "sigma": sigma, "kernel": kernel, "verify": verify,
+                "approx": approx, "gen": gen}
+    return parser, commands
 
 
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    # a byte read skips the text layer; the loaders' splitlines already
+    # ends lines at "\r\n" and "\r", and a bad byte still raises
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
 
 
 def _write(path: str | None, text: str) -> None:

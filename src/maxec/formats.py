@@ -23,10 +23,10 @@ endpoints in either order.
 All loaders read through one tokenizer, ``_lines``, and the two graph
 loaders (``load_instance`` and ``generators.load_mcis``) through one pass,
 ``_read_graph``. ``Graph`` is the one edge validator: the pass collects
-0-based pairs and their line numbers, and reports a bad pair's
-``GraphError`` on that pair's line. Of several faults, the first line wrong
-on its own is reported, else the first ``e`` line ``Graph`` rejects, else a
-whole-document fault (no line number).
+0-based pairs, and when ``Graph`` rejects one, it finds that pair's ``e``
+line again and reports the ``GraphError`` there. Of several faults, the
+first line wrong on its own is reported, else the first ``e`` line
+``Graph`` rejects, else a whole-document fault (no line number).
 """
 
 from __future__ import annotations
@@ -101,8 +101,10 @@ def load_coloring(text: str, g: Graph) -> EdgeColoring:
                 raise FormatError(lineno, "label line before solution line")
             if len(fields) != 4:
                 raise FormatError(lineno, f"malformed label line {_line(text, lineno)!r}")
-            u, v = _int(fields[1], lineno), _int(fields[2], lineno)
-            color = _int(fields[3], lineno)
+            try:
+                u, v, color = int(fields[1]), int(fields[2]), int(fields[3])
+            except ValueError:
+                raise _not_int(fields[1:], lineno) from None
             eid = index.get((u - 1, v - 1) if u < v else (v - 1, u - 1))
             if eid is None:
                 if not (1 <= u <= g.n and 1 <= v <= g.n):
@@ -118,7 +120,10 @@ def load_coloring(text: str, g: Graph) -> EdgeColoring:
                 raise FormatError(lineno, "duplicate solution line")
             if len(fields) != 3 or fields[1] != "coloring":
                 raise FormatError(lineno, f"malformed solution line {_line(text, lineno)!r}")
-            k = _int(fields[2], lineno)
+            try:
+                k = int(fields[2])
+            except ValueError:
+                raise _not_int(fields[2:], lineno) from None
             if k < 0:
                 raise FormatError(lineno, "negative color count")
         else:
@@ -149,11 +154,15 @@ def _line(text: str, lineno: int) -> str:
     return text.splitlines()[lineno - 1].strip()
 
 
-def _int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(lineno, f"expected integer, got {token!r}") from None
+def _not_int(tokens, lineno: int) -> FormatError:
+    """The error for a line whose ``tokens`` do not all convert: it names
+    the first one that ``int`` rejects. The loaders convert a line's tokens
+    in one ``try`` and ask for this error only when that fails."""
+    for token in tokens:
+        try:
+            int(token)
+        except ValueError:
+            return FormatError(lineno, f"expected integer, got {token!r}")
 
 
 def _read_graph(text: str, kind: str, width: int, tag: str, what: str, top):
@@ -163,7 +172,6 @@ def _read_graph(text: str, kind: str, width: int, tag: str, what: str, top):
     in messages. Returns the graph, the counts and {vertex: value}."""
     counts = None
     pairs: list[tuple[int, int]] = []
-    linenos: list[int] = []
     values: dict[int, int] = {}
     for lineno, fields in _lines(text):
         head = fields[0]
@@ -172,14 +180,19 @@ def _read_graph(text: str, kind: str, width: int, tag: str, what: str, top):
                 raise FormatError(lineno, "edge line before problem line")
             if len(fields) != 3:
                 raise FormatError(lineno, f"malformed edge line {_line(text, lineno)!r}")
-            pairs.append((_int(fields[1], lineno) - 1, _int(fields[2], lineno) - 1))
-            linenos.append(lineno)
+            try:
+                pairs.append((int(fields[1]) - 1, int(fields[2]) - 1))
+            except ValueError:
+                raise _not_int(fields[1:], lineno) from None
         elif head == "p":
             if counts is not None:
                 raise FormatError(lineno, "duplicate problem line")
             if len(fields) != width + 2 or fields[1] != kind:
                 raise FormatError(lineno, f"malformed problem line {_line(text, lineno)!r}")
-            counts = [_int(token, lineno) for token in fields[2:]]
+            try:
+                counts = [int(token) for token in fields[2:]]
+            except ValueError:
+                raise _not_int(fields[2:], lineno) from None
             if min(counts) < 0:
                 raise FormatError(lineno, "negative counts in problem line")
         elif head == tag:
@@ -187,7 +200,10 @@ def _read_graph(text: str, kind: str, width: int, tag: str, what: str, top):
                 raise FormatError(lineno, f"{what} line before problem line")
             if len(fields) != 3:
                 raise FormatError(lineno, f"malformed {what} line {_line(text, lineno)!r}")
-            v, value = _int(fields[1], lineno), _int(fields[2], lineno)
+            try:
+                v, value = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise _not_int(fields[1:], lineno) from None
             if not 1 <= v <= counts[0]:
                 raise FormatError(lineno, f"vertex id out of range in {_line(text, lineno)!r}")
             if not 1 <= value <= top(counts):
@@ -202,7 +218,9 @@ def _read_graph(text: str, kind: str, width: int, tag: str, what: str, top):
     try:
         g = Graph(counts[0], pairs)
     except GraphError as exc:  # counts are nonnegative, so a pair is at fault
-        lineno = linenos[exc.pos]
+        # every e line added one pair, so the faulty pair's line is the
+        # pos-th e line
+        lineno = [n for n, fields in _lines(text) if fields[0] == "e"][exc.pos]
         raise FormatError(lineno, f"{exc.reason} in {_line(text, lineno)!r}") from exc
     if g.m != counts[1]:
         raise FormatError(None, f"problem line declares {counts[1]} edges, found {g.m}")

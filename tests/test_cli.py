@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from brutes import stalled_decide
 from maxec import solver
-from maxec.cli import _build_parser, main, run
+from maxec.cli import _build_parser, _read, main, run
 from maxec.formats import (
     FormatError,
     load_coloring,
@@ -470,11 +470,11 @@ class TestUsage:
         cli("solve", "--k", "2", stdin=render_graph(TRIANGLE))
         code, out, _ = cli("--help")
         assert code == 0
-        assert out == _build_parser.__wrapped__().format_help()
+        assert out == _build_parser.__wrapped__()[0].format_help()
 
     def test_usage_error_is_stable_across_calls(self, cli, capsys):
         with pytest.raises(SystemExit) as exc:
-            _build_parser.__wrapped__().parse_args(["solve", "-o", "w.col"])
+            _build_parser.__wrapped__()[0].parse_args(["solve", "-o", "w.col"])
         assert exc.value.code == 2
         fresh = capsys.readouterr().err
         assert "required: --k" in fresh
@@ -512,6 +512,119 @@ class TestUsage:
             main()
         assert exc.value.code == code
         capsys.readouterr()
+
+
+# (argv, unrecognized): every subcommand with its options spelled in the
+# ways argparse accepts, help, and each kind of usage error. "{graph}" and
+# "{coloring}" stand for files holding TRIANGLE and a 3-coloring of it.
+# An unrecognized argument is the one case the two paths report
+# differently: the subcommand's parser names itself.
+DISPATCH = [
+    (["solve", "--k", "3"], False),
+    (["solve", "--k=5"], False),
+    (["solve", "--kernelize", "--k", "2", "-o", "-"], False),
+    (["solve", "--k", "3", "{graph}"], False),
+    (["sigma", "--edge", "0"], False),
+    (["sigma", "-o", "-", "{graph}"], False),
+    (["kernel", "--rule", "dual", "--k", "1"], False),
+    (["kernel", "--rule=standard", "--k", "2"], False),
+    (["verify", "{graph}", "{coloring}"], False),
+    (["verify", "--q", "3", "{graph}", "{coloring}"], False),
+    (["approx", "-"], False),
+    (["gen", "random", "--n", "6", "--p", "0.5", "--seed", "1"], False),
+    (["gen", "two-factor", "--n", "5", "--seed", "2", "-o", "-"], False),
+    (["gen", "mcis", "--plain"], False),
+    (["gen", "mcis"], False),
+    (["-h"], False),
+    (["solve", "-h"], False),
+    (["gen", "-h"], False),
+    (["gen", "random", "-h"], False),
+    (["solve"], False),
+    (["kernel", "--k", "2"], False),
+    (["verify", "{graph}"], False),
+    (["gen"], False),
+    (["gen", "random", "--n", "5"], False),
+    (["solve", "--k", "x"], False),
+    (["kernel", "--rule", "square", "--k", "2"], False),
+    (["gen", "paint"], False),
+    (["paint"], False),
+    ([], False),
+    (["--k", "3", "solve"], False),
+    (["solve", "--k", "3", "--bogus"], True),
+    (["solve", "--k", "3", "{graph}", "extra"], True),
+    (["gen", "random", "--n", "5", "--p", "0.5", "--seed", "1", "--bogus"], True),
+]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "argv,unrecognized", DISPATCH, ids=[" ".join(argv) or "(none)" for argv, _ in DISPATCH]
+    )
+    def test_subcommands_parse_their_own_arguments(self, cli, monkeypatch, tmp_path,
+                                                   argv, unrecognized):
+        graph, coloring = tmp_path / "g.gr", tmp_path / "w.col"
+        graph.write_text(render_graph(TRIANGLE))
+        coloring.write_text("s coloring 3\nl 1 2 1\nl 2 3 2\nl 1 3 3\n")
+        argv = [arg.format(graph=graph, coloring=coloring) for arg in argv]
+        if argv[:2] == ["gen", "mcis"]:
+            stdin = render_mcis(MCISInstance(Graph(2, []), [[0], [1]]))
+        else:
+            stdin = render_graph(TRIANGLE)
+        own = cli(*argv, stdin=stdin)
+        parser, commands = _build_parser()
+        # without the table of subcommands, run hands every argv to the
+        # top-level parser, which parses it and then passes it on
+        monkeypatch.setattr("maxec.cli._build_parser", lambda: (parser, {}))
+        top = cli(*argv, stdin=stdin)
+        assert own[:2] == top[:2]
+        if not unrecognized:
+            assert own[2] == top[2]
+            return
+        assert own[0] == 2
+        usage, _, message = top[2].partition("maxec: error: ")
+        assert usage == parser.format_usage()
+        assert message.startswith("unrecognized arguments: ")
+        command = commands[argv[0]]
+        assert own[2] == command.format_usage() + f"maxec {argv[0]}: error: {message}"
+
+
+class TestByteRead:
+    """File arguments are read as bytes and decoded as UTF-8."""
+
+    def test_crlf_documents_load_as_their_lf_forms(self, cli, tmp_path):
+        graph_text = "c hand made\n" + render_annotated(TRIANGLE, (1, 2, 2))
+        coloring_text = "c hand made\ns coloring 2\nl 1 2 1\nl 2 3 2\n\nl 1 3 1\n"
+        seen = []
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            graph, coloring = tmp_path / f"{name}.gr", tmp_path / f"{name}.col"
+            graph.write_bytes(graph_text.replace("\n", newline).encode())
+            coloring.write_bytes(coloring_text.replace("\n", newline).encode())
+            g, f = load_instance(_read(str(graph)))
+            seen.append((
+                (g, f),
+                load_coloring(_read(str(coloring)), g),
+                cli("verify", str(graph), str(coloring)),
+                cli("sigma", "-o", "-", str(graph)),
+            ))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0][0] == (TRIANGLE, (1, 2, 2))
+        assert seen[0][2] == (0, "VALID colors=2\n", "")
+
+    def test_a_byte_that_is_not_utf8_exits_2(self, cli, tmp_path):
+        graph, coloring = tmp_path / "g.gr", tmp_path / "w.col"
+        graph.write_text(render_graph(TRIANGLE))
+        coloring.write_text("s coloring 3\nl 1 2 1\nl 2 3 2\nl 1 3 3\n")
+        bad = tmp_path / "latin1"
+        bad.write_bytes(b"c caf\xe9\np edge 3 0\n")
+        for argv in (
+            ["solve", "--k", "1", bad],
+            ["sigma", bad],
+            ["verify", bad, coloring],
+            ["verify", graph, bad],
+        ):
+            code, out, err = cli(*map(str, argv))
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9"), argv
 
 
 def _fault(load, *args):

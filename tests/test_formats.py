@@ -58,6 +58,11 @@ def test_loader_accepts_flexible_input():
         ("p edge 2 1\ne 0 1", 2),
         ("p edge 2 1\ne 1 x", 2),
         ("p mcis 2 2 1\nv 1 1\nv 2 1\ne 1 2\ne 2 1", 5),
+        # Graph's faults land on their own e line past comments, blank
+        # lines and f lines
+        ("c a\n\np edge 3 3\nf 1 2\ne 1 2\nc b\n\t\ne 2 3\nf 2 2\ne 2 1", 10),
+        ("c a\n\np edge 3 3\nf 3 1\nc b\ne 1 2\n\ne 3 3\ne 2 3", 8),
+        ("p edge 3 3\nc a\ne 1 2\nf 1 1\n\ne 2 3\nc b\nf 2 2\n \ne 1 4", 10),
     ],
 )
 def test_loader_rejects_malformed_documents(text, lineno):
