@@ -27,21 +27,23 @@ which contracts two adjacent degree-2 vertices
 (``kernels.kernelize_dual``); the palette search of the solver deletes
 free edges too.
 
-Folding is followed by a series rule (``_contract_series``): while some
-vertex x of capacity 1 has exactly two neighbors a and b that are not
-adjacent, the path a-x-b becomes the one edge (a, b). Since x has
-capacity 1, its two edges share one color in every valid coloring, and
-giving (a, b) that color leaves pal(a), pal(b) and the class count
-unchanged; in reverse, both edges of x take the color of (a, b), and
-pal(x) is that one color. So sigma is unchanged. A contraction changes
-no vertex's degree, so it cannot make a new pendant. It can make its new
-edge (a, b) free, when a and b both have degree at most their capacity;
-the worklist has finished by then and does not look again, so the core
-keeps that edge. A capacity-1 chain, such as an arm of a ``reduce_mcis``
-gadget, collapses to one edge. The core's edge order is the surviving
-edges in id order, then each contracted edge in the order it was made;
-every core edge keeps the original edge ids it stands for, and each of
-them takes its color.
+The same worklist contracts series vertices: while some vertex x of
+capacity 1 has exactly two neighbors a and b that are not adjacent, the
+path a-x-b becomes the one edge (a, b). Since x has capacity 1, its two
+edges share one color in every valid coloring, and giving (a, b) that
+color leaves pal(a), pal(b) and the class count unchanged; in reverse,
+both edges of x take the color of (a, b), and pal(x) is that one color.
+So sigma is unchanged. A contraction changes no degree, so it cannot make
+a new pendant, but it can make its new edge (a, b) free, when a and b both
+have degree at most their capacity; that edge is then deleted like any
+other free edge, and the pendant folds that follow come next. So the core
+is a fixpoint of all three rules: no vertex of degree 1, no free edge, and
+no capacity-1 vertex of degree 2 with non-adjacent neighbors. A
+capacity-1 chain, such as an arm of a ``reduce_mcis`` gadget, collapses
+to one edge. The core's edge order is the surviving edges in id order,
+then each contracted edge in the order it was made; every core edge, and
+every edge a fold removes, keeps the original edge ids it stands for, and
+each of them takes its color.
 
 The search is one loop with an undo record per position, so its depth is
 not bounded by the recursion limit. At edge (u, v), an endpoint has room
@@ -141,10 +143,10 @@ def sigma_exact(
 ) -> SigmaResult:
     """Maximum number of colors over all valid colorings, with a witness.
 
-    Pendant edges are always folded first, and series vertices
-    contracted (module docstring). The ``fold_pendants`` keyword remains
-    for callers that name it, and only ``True`` is accepted; ``False``
-    raises ``ValueError``.
+    Pendant edges are always folded first, free edges deleted and series
+    vertices contracted (module docstring). The ``fold_pendants`` keyword
+    remains for callers that name it, and only ``True`` is accepted;
+    ``False`` raises ``ValueError``.
     """
     if not fold_pendants:
         raise ValueError("pendant folding is always on; fold_pendants=False is not supported")
@@ -183,8 +185,8 @@ def _finish(search):
 
 
 def _fold_and_search(g: Graph, caps: list[int], k: int | None = None, left: int = -1):
-    """Fold pendants and contract series vertices, search each component
-    of the core, unfold.
+    """Fold the graph to its core, search each component of the core,
+    unfold.
 
     A generator over ``_search``: ``left`` nodes may run before it yields
     for the next budget, which comes back as the value of the yield.
@@ -228,12 +230,11 @@ def _check_limit(g: Graph, edge_limit: int | None) -> None:
 
 
 def _fold_pendants(g: Graph, caps: list[int]):
-    """Peel degree-1 vertices and delete free edges, then contract series
-    vertices (``_contract_series``); returns the core graph, its
-    capacities (the list ``caps``, updated in place), the fold actions in
-    application order, and per core edge the original edge ids it stands
-    for. The core has no vertex of degree 1 and no free edge between two
-    vertices of degree 2 or more, unless a contraction made one.
+    """Peel degree-1 vertices, delete free edges and contract series
+    vertices until no rule fires (module docstring); returns the core
+    graph, its capacities (the list ``caps``, updated in place), the fold
+    actions in application order, and per core edge the original edge ids
+    it stands for.
 
     Folding pendant edge (p, v), with p of degree 1 and c(v) the capacity
     of v in the current graph G, where G - e keeps every other capacity:
@@ -256,113 +257,117 @@ def _fold_pendants(g: Graph, caps: list[int]):
     capacity: sigma(G) = sigma(G - e) + 1 (module docstring). A vertex is
     *loose* when 2 <= deg <= c, so its capacity is at least 2. A pendant
     fold lowers deg(v), and when it lowers c(v) too it lowers both by one;
-    a deletion lowers the degrees of two loose vertices. So no fold makes a
-    vertex loose, and the one degree pass that finds the pendants finds
-    every loose vertex too. Popped with degree 2 or more, a loose vertex x
-    deletes its edge to each neighbor that is still loose, each one free
-    since deg(x) only falls. x then has no loose neighbor, and none can
-    appear, so it is never looked at again; an end that falls to degree 1
-    joins the worklist as a pendant. An edge to a pendant is left to the
-    pendant fold.
+    a deletion lowers the degrees of two loose vertices; a contraction
+    changes no degree and no capacity. So no rule makes a vertex loose, and
+    the one degree pass that finds the pendants finds every loose vertex
+    too. Popped with degree 2 or more, a loose vertex x deletes its edge to
+    each neighbor that is still loose, each one free since deg(x) only
+    falls. x then has no loose neighbor, and only a contraction can give
+    it one; an end that falls to degree 1 joins the worklist as a pendant.
+    An edge to a pendant is left to the pendant fold.
 
-    Each action is (kind, edge id, v); ``_unfold`` replays them in reverse.
+    Series vertices wait in a second heap, which the same degree pass
+    fills and a fold that leaves v with capacity 1 and degree 2 extends; it
+    is popped only when no pendant or loose vertex is queued, so until a
+    contraction makes a free edge the folds run in the order they would
+    run without the series rule. A contraction gives the new edge a fresh
+    index, appends it to the incidences of a and b (each turned into a
+    list the first time), re-queues a and b as series vertices when they
+    are ones, and re-queues a as a loose vertex when the new edge is free,
+    which then deletes it. Whether a and b are adjacent is one lookup of
+    the pair among the graph's edges and the contracted ones.
+
+    Each action is (kind, original edge ids, v); ``_unfold`` replays them
+    in reverse.
     """
-    adj = g.adj
-    alive = [True] * g.m
+    adj = list(g.adj)  # an entry turns into a list when a contraction extends it
+    ends: list[tuple[int, int] | None] = list(g.edges)  # None once deleted
+    origin = [[eid] for eid in range(g.m)]  # original edge ids per edge index
+    pairs: dict[tuple[int, int], int] = {}  # contracted edges by their ends
     deg = [len(nbrs) for nbrs in adj]
+    # both worklists start ascending, so they are heaps already
     work = [v for v, d in enumerate(deg) if d == 1 or 2 <= d <= caps[v]]
-    heapq.heapify(work)
-    actions: list[tuple[str, int, int]] = []
-    while work:
-        x = heapq.heappop(work)
+    series = [v for v, d in enumerate(deg) if d == 2 and caps[v] == 1]
+    actions: list[tuple[str, list[int], int]] = []
+    while work or series:
+        x = heapq.heappop(work) if work else heapq.heappop(series)
         if deg[x] == 1:
-            for eid, v in adj[x]:
-                if alive[eid]:
+            for i, v in adj[x]:
+                if ends[i]:
                     break
-            alive[eid] = False
+            ends[i] = None
             deg[x] = 0
             deg[v] -= 1
             if deg[v] == 0 or caps[v] >= 2:
-                actions.append(("fresh", eid, v))
+                actions.append(("fresh", origin[i], v))
                 caps[v] -= 1
             else:
-                actions.append(("reuse", eid, v))
+                actions.append(("reuse", origin[i], v))
             if deg[v] == 1:
                 heapq.heappush(work, v)
-        elif deg[x]:  # loose: only the degree pass queues x with degree 2 or more
-            for eid, y in adj[x]:
-                if alive[eid] and 2 <= deg[y] <= caps[y]:
-                    alive[eid] = False
+            elif deg[v] == 2 and caps[v] == 1:
+                heapq.heappush(series, v)
+        elif deg[x] and caps[x] >= 2:  # loose: no other vertex is queued in work with degree >= 2
+            for i, y in adj[x]:
+                if ends[i] and 2 <= deg[y] <= caps[y]:
+                    ends[i] = None
                     deg[x] -= 1
                     deg[y] -= 1
-                    actions.append(("fresh", eid, x))
+                    actions.append(("fresh", origin[i], x))
                     if deg[y] == 1:
                         heapq.heappush(work, y)
             if deg[x] == 1:
                 heapq.heappush(work, x)
-    ends = list(compress(g.edges, alive))
-    origin = [[eid] for eid in compress(range(g.m), alive)]
-    series = [x for x, d in enumerate(deg) if d == 2 and caps[x] == 1]
-    if series:
-        ends, origin = _contract_series(g.n, caps, ends, origin, series)
-    return Graph(g.n, ends), caps, actions, origin
-
-
-def _contract_series(n: int, caps: list[int], ends, origin, series):
-    """Replace a-x-b by (a, b) while some capacity-1 vertex x has exactly
-    two neighbors a and b that are not adjacent (module docstring).
-
-    ``series`` lists the capacity-1 vertices of degree 2, taken smallest
-    first. A contraction changes no degree and no capacity, and only a and
-    b change neighbors, so only they can become contractible. Each new
-    edge goes at the end of ``ends``, and its ``origin`` entry joins the
-    original edge ids of the two it replaces. Returns the edges left and
-    their origins.
-    """
-    nbrs: list[dict[int, int]] = [{} for _ in range(n)]  # neighbor -> index in ends
-    for i, (u, v) in enumerate(ends):
-        nbrs[u][v] = nbrs[v][u] = i
-    heapq.heapify(series)
-    while series:
-        x = heapq.heappop(series)
-        if not nbrs[x]:  # already contracted
-            continue
-        (a, ea), (b, eb) = nbrs[x].items()
-        if b in nbrs[a]:
-            continue
-        nbrs[x].clear()
-        del nbrs[a][x], nbrs[b][x]
-        nbrs[a][b] = nbrs[b][a] = len(ends)
-        ends.append((a, b))
-        origin.append(origin[ea] + origin[eb])
-        ends[ea] = ends[eb] = None
-        for y in (a, b):
-            if caps[y] == 1 and len(nbrs[y]) == 2:
-                heapq.heappush(series, y)
-    keep = [i for i, e in enumerate(ends) if e is not None]
-    return [ends[i] for i in keep], [origin[i] for i in keep]
+        elif deg[x]:  # series: capacity 1 and degree 2
+            # stored back, since x may be popped again and its entries may grow
+            adj[x] = live = [(i, y) for i, y in adj[x] if ends[i]]
+            (ea, a), (eb, b) = live
+            key = (a, b) if a < b else (b, a)
+            e = pairs.get(key, g._index.get(key))
+            if e is not None and ends[e]:
+                continue
+            ends[ea] = ends[eb] = None
+            deg[x] = 0
+            pairs[key] = i = len(ends)
+            ends.append(key)
+            more, ids = sorted((origin[ea], origin[eb]), key=len)
+            ids += more  # both edges are gone: the shorter list joins the longer
+            origin.append(ids)
+            for y, z in ((a, b), (b, a)):
+                if isinstance(adj[y], tuple):
+                    adj[y] = list(adj[y])
+                adj[y].append((i, z))
+                if deg[y] == 2 and caps[y] == 1:
+                    heapq.heappush(series, y)
+            if deg[a] <= caps[a] and deg[b] <= caps[b]:  # (a, b) is free
+                heapq.heappush(work, a)
+    return Graph(g.n, filter(None, ends)), caps, actions, list(compress(origin, ends))
 
 
 def _unfold(g: Graph, actions, colors: list[int | None], total: int) -> int:
-    """Replay fold actions in reverse, assigning the folded edges' colors.
+    """Replay fold actions in reverse, giving each action's color to every
+    original edge it names.
 
     Caps only fall while folding, so every "reuse" fold at v comes after the
     last fold that found v with capacity 2 or more; a free-edge deletion
     finds both its ends so. At each "reuse" replay, v's colored edges are
     those of a graph where v has capacity 1, so they share one color that
-    later replays never change: it is looked up once per vertex.
+    later replays never change: it is looked up once per vertex. The
+    original edges a contracted edge stands for all take its color, so v
+    sees one color per edge of the folded graph, and an inner vertex of a
+    contracted edge, of capacity 1, sees that edge's one color.
     """
     shared: dict[int, int] = {}
-    for kind, eid, v in reversed(actions):
+    for kind, ids, v in reversed(actions):
         if kind == "fresh":
-            colors[eid] = total
+            color = total
             total += 1
-        else:
-            if v not in shared:
-                shared[v] = min(
-                    colors[e] for e, _ in g.adj[v] if colors[e] is not None
-                )
-            colors[eid] = shared[v]
+        elif (color := shared.get(v)) is None:
+            color = shared[v] = min(
+                colors[e] for e, _ in g.adj[v] if colors[e] is not None
+            )
+        for eid in ids:
+            colors[eid] = color
     return total
 
 

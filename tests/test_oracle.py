@@ -78,16 +78,34 @@ def test_frozen_values(name):
         assert res.witness.colors == FROZEN_WITNESSES[name]
 
 
+def _fold_leftover(g, caps):
+    """A rule that could still fire on the core of ``_fold_pendants``, or
+    None at a fixpoint: a vertex of degree 1, a free edge, or a capacity-1
+    vertex of degree 2 whose two neighbors are not adjacent."""
+    core, caps, _, _ = _fold_pendants(g, list(caps))
+    for x in range(core.n):
+        if core.degree(x) == 1:
+            return "pendant", x
+        if caps[x] == 1 and core.degree(x) == 2 and not core.has_edge(*core.neighbors(x)):
+            return "series", x
+    for u, v in core.edges:
+        if core.degree(u) <= caps[u] and core.degree(v) <= caps[v]:
+            return "free", (u, v)
+    return None
+
+
 def test_matches_naive_enumeration_exhaustively():
     for g in connected_graphs_upto(5):
         res = sigma_exact(g, edge_limit=None)
         assert res.sigma == dumb_sigma(g), g.edges
         assert verify_coloring(g, res.witness).valid
+        assert _fold_leftover(g, [2] * g.n) is None, g.edges
     for g in connected_graphs_upto(6):
         if g.n == 6 and g.m <= 9:
             res = sigma_exact(g, edge_limit=None)
             assert res.sigma == dumb_sigma(g), g.edges
             assert verify_coloring(g, res.witness).valid
+            assert _fold_leftover(g, [2] * g.n) is None, g.edges
 
 
 def test_threshold_agrees_with_exact():
@@ -122,6 +140,7 @@ def test_capacity_profiles_exhaustively():
             check = verify_coloring(g, res.witness, profile)
             assert check.valid
             assert check.colors_used == res.sigma
+            assert _fold_leftover(g, caps) is None, (g.edges, caps)
 
 
 def test_free_edge_rule_on_every_small_graph():
@@ -295,6 +314,47 @@ def test_series_rule_skips_adjacent_neighbors():
     res = sigma_exact(g, profile)
     assert res.sigma == 3 == dumb_sigma(g, list(caps))
     assert verify_coloring(g, res.witness, profile).colors_used == 3
+
+
+def test_contraction_that_makes_a_free_edge_deletes_it():
+    # pendants 4 and 5 leave 0 and 1 with capacity 1 and degree 2; the
+    # degree-2 vertices 2 and 3 meet only 0 and 1. Contracting 0 makes the
+    # edge (2, 3) between two vertices of degree 2, which is free, so it goes
+    # as one fresh action for the original edges (0, 2) and (0, 3); the
+    # pendant folds that follow empty the core, where a fold that stopped
+    # after the contraction would keep the triangle (1, 2), (1, 3), (2, 3)
+    g = Graph(6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4)])
+    core, _, actions, _ = _fold_pendants(g, [2] * g.n)
+    assert core.m == 0
+    assert [(kind, sorted(ids)) for kind, ids, _ in actions if len(ids) > 1] == [("fresh", [0, 1])]
+    res = sigma_exact(g)
+    assert res.sigma == 4 == dumb_sigma(g)
+    assert res.witness.colors[0] == res.witness.colors[1]
+    check = verify_coloring(g, res.witness)
+    assert check.valid and check.colors_used == 4
+
+
+def test_contractions_that_pile_onto_one_vertex_scale():
+    # every contraction extends the incidences of a hub, or tests the
+    # adjacency of two hubs, so neither may cost the hub's degree
+    t = 6000
+    # hub 0 meets t capacity-1 vertices x_i, each joined to its own b_i,
+    # and every b_i meets hub 1: each x_i becomes the edge (0, b_i)
+    g = Graph(2 + 2 * t, [e for i in range(t)
+                          for e in ((0, 2 + i), (2 + i, 2 + t + i), (2 + t + i, 1))])
+    core, _, actions, _ = _fold_pendants(g, [2, 2] + [1] * t + [2] * t)
+    assert core.m == 2 * t and not actions
+    # hubs 0 and 1 share t capacity-1 neighbors: the first becomes the edge
+    # (0, 1), and every later one has adjacent neighbors
+    g = Graph(2 + t, [e for i in range(t) for e in ((0, 2 + i), (1, 2 + i))])
+    core, _, actions, _ = _fold_pendants(g, [2, 2] + [1] * t)
+    assert core.m == 2 * t - 1 and not actions
+    # a capacity-1 cycle contracts around the ring to a triangle whose
+    # edges stand for all t edges
+    g = Graph(t, [(i, (i + 1) % t) for i in range(t)])
+    core, _, actions, origin = _fold_pendants(g, [1] * t)
+    assert core.m == 3 and not actions
+    assert sorted(eid for ids in origin for eid in ids) == list(range(t))
 
 
 @pytest.mark.parametrize("base, parts, yes", [
