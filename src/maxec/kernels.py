@@ -97,20 +97,29 @@ def neighborhood_classes(g: Graph, cover) -> tuple[NeighborhoodClass, ...]:
     members ascend.
 
     Requires ``cover`` to be a vertex cover so the neighborhoods are
-    subsets of it.
+    subsets of it; the grouping is ``_neighborhood_groups``, which
+    ``_twin_deletions`` reads too.
     """
+    return tuple(
+        NeighborhoodClass(t, tuple(vs))
+        for t, vs in sorted(_neighborhood_groups(g, cover).items())
+    )
+
+
+def _neighborhood_groups(g: Graph, cover) -> dict[tuple[int, ...], list[int]]:
+    """The vertices outside ``cover``, ascending, grouped by their sorted
+    neighborhood T in one pass; raises ``ValueError`` when some T leaves
+    the cover, that is when ``cover`` is not a vertex cover."""
     inside = set(cover)
     groups: dict[tuple[int, ...], list[int]] = {}
     for v, entries in enumerate(g.adj):
         if v in inside:
             continue
         t = tuple(sorted([w for _, w in entries]))
-        if not inside.issuperset(t):
-            raise ValueError("the given set is not a vertex cover")
         groups.setdefault(t, []).append(v)
-    return tuple(
-        NeighborhoodClass(t, tuple(vs)) for t, vs in sorted(groups.items())
-    )
+    if not all(map(inside.issuperset, groups)):
+        raise ValueError("the given set is not a vertex cover")
+    return groups
 
 
 def kernelize_standard(g: Graph, k: int) -> KernelResult:
@@ -134,6 +143,10 @@ def _twin_deletions(g: Graph, cover) -> list[tuple]:
     """Deletions that keep the max(2, |T|) lowest members of each
     neighborhood class I_T, or none when T is empty, ascending by vertex.
     A deleted vertex copies the lowest member, or nothing when T is empty.
+    The classes come from one pass of ``_neighborhood_groups``, unsorted;
+    only a class larger than its bound adds deletions, and those are
+    sorted by vertex at the end, so the class order does not matter. A
+    set that is not a vertex cover raises ``ValueError``.
 
     The bound keeps the optimum. A deleted twin that copies a kept twin's
     colors changes no palette, so deleting never raises the optimum. An
@@ -168,10 +181,11 @@ def _twin_deletions(g: Graph, cover) -> list[tuple]:
     sigma = 4, and sigma falls to 3 with two twins (s = 3).
     """
     actions = []
-    for cls in neighborhood_classes(g, cover):
-        keep = max(2, len(cls.T)) if cls.T else 0
-        twin = cls.members[0] if cls.T else None
-        actions.extend(("del", v, twin) for v in cls.members[keep:])
+    for t, members in _neighborhood_groups(g, cover).items():
+        keep = max(2, len(t)) if t else 0
+        if len(members) > keep:
+            twin = members[0] if t else None
+            actions.extend(("del", v, twin) for v in members[keep:])
     actions.sort(key=lambda a: a[1])
     return actions
 

@@ -97,6 +97,11 @@ leaves in the same order, and finds the same witness, in fewer nodes.
 
 Connected components are solved independently and summed; the number of
 colors is additive because components can always use disjoint palettes.
+The fold hands over its core as a list of edge pairs, and the split
+(``_components``) visits only the vertices those edges touch, so an empty
+core costs nothing more. It takes the components by least vertex, each
+with its vertices ascending, local ids by position in that list and its
+edges in core order; that order fixes the witness.
 
 The search is a generator with a node budget, one node per pass of its
 loop. It follows the pause protocol of both engines of the solver's race
@@ -189,12 +194,13 @@ def _fold_and_search(g: Graph, caps: list[int], k: int | None = None, left: int 
     unfold.
 
     A generator over ``_search``: ``left`` nodes may run before it yields
-    for the next budget, which comes back as the value of the yield.
-    With k None, every component is searched to its optimum, in component
-    order, and the result is (sigma, colors). With k, the component with
-    most edges goes last and needs only the colors the others and the
-    folds leave to k; the result is then (count, colors) with count >= k,
-    or None.
+    for the next budget, which comes back as the value of the yield. The
+    components come from ``_components``, by least vertex, and an empty
+    core has none. With k None, every component is searched to its
+    optimum, in that order, and the result is (sigma, colors). With k,
+    the component with most edges goes last and needs only the colors the
+    others and the folds leave to k; the result is then (count, colors)
+    with count >= k, or None.
     """
     colors: list[int | None] = [None] * g.m
     core, caps, actions, origin = _fold_pendants(g, caps)
@@ -231,10 +237,13 @@ def _check_limit(g: Graph, edge_limit: int | None) -> None:
 
 def _fold_pendants(g: Graph, caps: list[int]):
     """Peel degree-1 vertices, delete free edges and contract series
-    vertices until no rule fires (module docstring); returns the core
-    graph, its capacities (the list ``caps``, updated in place), the fold
-    actions in application order, and per core edge the original edge ids
-    it stands for.
+    vertices until no rule fires (module docstring); returns the core as
+    its list of surviving edge pairs (u, v) with u < v, in core order, its
+    capacities (the list ``caps``, updated in place), the fold actions in
+    application order, and per core edge the original edge ids it stands
+    for. The core is no ``Graph``: every pair is an edge of g or one that
+    a contraction made after finding its ends non-adjacent, so there is
+    nothing to validate.
 
     Folding pendant edge (p, v), with p of degree 1 and c(v) the capacity
     of v in the current graph G, where G - e keeps every other capacity:
@@ -341,7 +350,7 @@ def _fold_pendants(g: Graph, caps: list[int]):
                     heapq.heappush(series, y)
             if deg[a] <= caps[a] and deg[b] <= caps[b]:  # (a, b) is free
                 heapq.heappush(work, a)
-    return Graph(g.n, filter(None, ends)), caps, actions, list(compress(origin, ends))
+    return list(filter(None, ends)), caps, actions, list(compress(origin, ends))
 
 
 def _unfold(g: Graph, actions, colors: list[int | None], total: int) -> int:
@@ -371,23 +380,43 @@ def _unfold(g: Graph, actions, colors: list[int | None], total: int) -> int:
     return total
 
 
-def _components(g: Graph, caps):
-    """Per component with an edge: vertices, global edge ids, local edge
-    list, local caps."""
-    comps = g.connected_components()
-    comp_of = [0] * g.n
-    local = [0] * g.n
-    for c, comp in enumerate(comps):
-        for i, v in enumerate(comp):
-            comp_of[v] = c
-            local[v] = i
+def _components(core: list[tuple[int, int]], caps):
+    """Per component of the core edge list ``core``, by least vertex: its
+    vertices ascending, the indices in ``core`` of its edges in core
+    order, those edges over local ids, which are positions in the vertex
+    list, and the local caps.
+
+    Only the vertices the edges touch are visited, so an isolated vertex
+    costs nothing and an empty core yields nothing at once.
+    """
+    if not core:
+        return
+    nbrs: dict[int, list[int]] = {}
+    for u, v in core:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    comp_of: dict[int, int] = {}
+    comps: list[list[int]] = []
+    for start in sorted(nbrs):
+        if start in comp_of:
+            continue
+        c = comp_of[start] = len(comps)
+        comp, stack = [], [start]
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in nbrs[x]:
+                if y not in comp_of:
+                    comp_of[y] = c
+                    stack.append(y)
+        comp.sort()
+        comps.append(comp)
+    local = {v: i for comp in comps for i, v in enumerate(comp)}
     edge_ids: list[list[int]] = [[] for _ in comps]
-    for eid, (u, _) in enumerate(g.edges):
+    for eid, (u, _) in enumerate(core):
         edge_ids[comp_of[u]].append(eid)
     for comp, ids in zip(comps, edge_ids):
-        if not ids:
-            continue
-        local_edges = [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in ids]
+        local_edges = [(local[core[e][0]], local[core[e][1]]) for e in ids]
         yield comp, ids, local_edges, [caps[v] for v in comp]
 
 

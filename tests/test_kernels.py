@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from brutes import graphs, ref_has_c4, ref_kernelize_dual
+from brutes import graphs, graphs_upto_seven, ref_has_c4, ref_kernelize_dual
 from maxec import (
     EdgeColoring,
     ForcedNo,
@@ -24,6 +24,7 @@ from maxec.kernels import (
     kernelize_c4free,
     kernelize_dual,
     kernelize_standard,
+    _twin_deletions,
     lift_coloring,
     neighborhood_classes,
 )
@@ -56,6 +57,41 @@ class TestNeighborhoodClasses:
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             neighborhood_classes(g, (0,))
+
+    def test_twin_deletions_match_the_classes(self):
+        # the trim groups the vertices outside the cover in one pass and
+        # never sorts the classes; it must emit what a walk over the sorted
+        # classes emits, under the matching cover and under a larger one
+        def by_class(g, cover):
+            actions = []
+            for cls in neighborhood_classes(g, cover):
+                twin = cls.members[0] if cls.T else None
+                actions += [("del", v, twin) for v in cls.members[_twin_bound(len(cls.T)):]]
+            return sorted(actions, key=lambda a: a[1])
+
+        trimmed = 0
+        for g in graphs_upto_seven():
+            matching = maximal_matching(g)
+            cover = tuple(sorted(matching.saturated))
+            pre = matching_preprocess(g, len(matching) + 2)
+            if isinstance(pre, Continue):
+                assert pre.cover == cover
+            covers = [cover]
+            if len(cover) < g.n:
+                extra = min(set(range(g.n)) - set(cover))
+                covers.append(tuple(sorted(cover + (extra,))))
+            for c in covers:
+                got = _twin_deletions(g, c)
+                assert got == by_class(g, c), (g.edges, c)
+                trimmed += any(twin is not None for _, _, twin in got)
+            if matching.edge_ids:
+                u, v = g.edges[matching.edge_ids[0]]
+                broken = tuple(w for w in cover if w not in (u, v))
+                with pytest.raises(ValueError):
+                    _twin_deletions(g, broken)
+                with pytest.raises(ValueError):
+                    neighborhood_classes(g, broken)
+        assert trimmed > 0
 
 
 class TestStandardKernel:

@@ -22,7 +22,7 @@ from maxec import (
     solve_exact,
     verify_coloring,
 )
-from maxec.oracle import _finish, _fold_pendants, _search, decide
+from maxec.oracle import _components, _finish, _fold_pendants, _search, decide
 
 # expected values computed by the naive enumerator and checked by hand
 # where feasible (cycles reach n, paths reach m, stars cap at 2)
@@ -78,11 +78,18 @@ def test_frozen_values(name):
         assert res.witness.colors == FROZEN_WITNESSES[name]
 
 
+def _folded(g, caps):
+    """``_fold_pendants``, with its core edge list as a graph on the
+    vertices of g."""
+    core, caps, actions, origin = _fold_pendants(g, caps)
+    return Graph(g.n, core), caps, actions, origin
+
+
 def _fold_leftover(g, caps):
     """A rule that could still fire on the core of ``_fold_pendants``, or
     None at a fixpoint: a vertex of degree 1, a free edge, or a capacity-1
     vertex of degree 2 whose two neighbors are not adjacent."""
-    core, caps, _, _ = _fold_pendants(g, list(caps))
+    core, caps, _, _ = _folded(g, list(caps))
     for x in range(core.n):
         if core.degree(x) == 1:
             return "pendant", x
@@ -141,6 +148,53 @@ def test_capacity_profiles_exhaustively():
             assert check.valid
             assert check.colors_used == res.sigma
             assert _fold_leftover(g, caps) is None, (g.edges, caps)
+
+
+def _split_over_every_vertex(n, core, caps):
+    """The component split of the core edge list ``core`` as a pass over
+    all n vertices of ``Graph(n, core)``: what ``_components`` must yield."""
+    g = Graph(n, core)
+    comps = g.connected_components()
+    comp_of, local = [0] * n, [0] * n
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            comp_of[v], local[v] = c, i
+    edge_ids = [[] for _ in comps]
+    for eid, (u, _) in enumerate(g.edges):
+        edge_ids[comp_of[u]].append(eid)
+    return [
+        (comp, ids, [(local[core[e][0]], local[core[e][1]]) for e in ids], [caps[v] for v in comp])
+        for comp, ids in zip(comps, edge_ids) if ids
+    ]
+
+
+def test_component_split_keeps_the_search_order():
+    # the search takes the components of the fold's core by least vertex,
+    # vertices ascending, local ids by position and edges in core order;
+    # the split visits only the vertices the core's edges touch, and must
+    # hand the search the same inputs as a split over every vertex
+    graphs = [g for g in connected_graphs_upto(6) if g.n < 6 or g.m <= 9]
+    searched = 0
+    for g in graphs:
+        for caps in all_capacity_maps(g.n):
+            core, caps, _, _ = _fold_pendants(g, list(caps))
+            got = list(_components(core, caps))
+            assert got == _split_over_every_vertex(g.n, core, caps), (g.edges, caps)
+            searched += bool(got)
+    assert searched > 1000
+    # none of those cores falls apart, so a hand-built one has three
+    # components, listed out of vertex order, and the isolated vertices 1
+    # and 4
+    core = [(5, 7), (0, 3), (7, 9), (3, 6), (2, 8), (5, 9), (0, 6)]
+    caps = list(range(10, 20))
+    got = list(_components(core, caps))
+    assert got == _split_over_every_vertex(10, core, caps)
+    assert got == [
+        ([0, 3, 6], [1, 3, 6], [(0, 1), (1, 2), (0, 2)], [10, 13, 16]),
+        ([2, 8], [4], [(0, 1)], [12, 18]),
+        ([5, 7, 9], [0, 2, 5], [(0, 1), (1, 2), (0, 2)], [15, 17, 19]),
+    ]
+    assert list(_components([], caps)) == []
 
 
 def test_free_edge_rule_on_every_small_graph():
@@ -288,7 +342,7 @@ def test_capacity_one_chain_collapses_to_one_edge():
     g = Graph(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
                   (0, 5), (5, 6), (1, 6)])
     caps = (2, 2, 2, 2, 2, 1, 1)
-    core, _, actions, origin = _fold_pendants(g, list(caps))
+    core, _, actions, origin = _folded(g, list(caps))
     chain = [g.edge_id(0, 5), g.edge_id(5, 6), g.edge_id(1, 6)]
     assert not actions
     assert core.edges == g.edges[:6] + ((0, 1),)
@@ -307,7 +361,7 @@ def test_series_rule_skips_adjacent_neighbors():
     # degree 3 or more, so no edge is free
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)])
     caps = (2, 2, 2, 2, 1)
-    core, _, actions, origin = _fold_pendants(g, list(caps))
+    core, _, actions, origin = _folded(g, list(caps))
     assert not actions
     assert core.edges == g.edges and origin == [[e] for e in range(g.m)]
     profile = ValidityProfile(f=caps)
@@ -324,7 +378,7 @@ def test_contraction_that_makes_a_free_edge_deletes_it():
     # pendant folds that follow empty the core, where a fold that stopped
     # after the contraction would keep the triangle (1, 2), (1, 3), (2, 3)
     g = Graph(6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4)])
-    core, _, actions, _ = _fold_pendants(g, [2] * g.n)
+    core, _, actions, _ = _folded(g, [2] * g.n)
     assert core.m == 0
     assert [(kind, sorted(ids)) for kind, ids, _ in actions if len(ids) > 1] == [("fresh", [0, 1])]
     res = sigma_exact(g)
@@ -342,17 +396,17 @@ def test_contractions_that_pile_onto_one_vertex_scale():
     # and every b_i meets hub 1: each x_i becomes the edge (0, b_i)
     g = Graph(2 + 2 * t, [e for i in range(t)
                           for e in ((0, 2 + i), (2 + i, 2 + t + i), (2 + t + i, 1))])
-    core, _, actions, _ = _fold_pendants(g, [2, 2] + [1] * t + [2] * t)
+    core, _, actions, _ = _folded(g, [2, 2] + [1] * t + [2] * t)
     assert core.m == 2 * t and not actions
     # hubs 0 and 1 share t capacity-1 neighbors: the first becomes the edge
     # (0, 1), and every later one has adjacent neighbors
     g = Graph(2 + t, [e for i in range(t) for e in ((0, 2 + i), (1, 2 + i))])
-    core, _, actions, _ = _fold_pendants(g, [2, 2] + [1] * t)
+    core, _, actions, _ = _folded(g, [2, 2] + [1] * t)
     assert core.m == 2 * t - 1 and not actions
     # a capacity-1 cycle contracts around the ring to a triangle whose
     # edges stand for all t edges
     g = Graph(t, [(i, (i + 1) % t) for i in range(t)])
-    core, _, actions, origin = _fold_pendants(g, [1] * t)
+    core, _, actions, origin = _folded(g, [1] * t)
     assert core.m == 3 and not actions
     assert sorted(eid for ids in origin for eid in ids) == list(range(t))
 
@@ -366,7 +420,7 @@ def test_gadget_arms_collapse_to_three_edges_per_base_edge(base, parts, yes):
     # arm u-e_u-e_u2-e_3 becomes (u, e_3), and e_3 keeps its apex edge
     ann = reduce_mcis(MCISInstance(base, parts))
     g = ann.graph
-    core, _, actions, origin = _fold_pendants(g, list(ann.f))
+    core, _, actions, origin = _folded(g, list(ann.f))
     assert not actions
     assert core.m == g.m - 4 * base.m
     apex = base.n + len(parts)
