@@ -20,11 +20,11 @@ from maxec import (
 from maxec.kernels import (
     FourCycleError,
     Reduced,
+    _twin_deletions,
     has_c4,
     kernelize_c4free,
     kernelize_dual,
     kernelize_standard,
-    _twin_deletions,
     lift_coloring,
     neighborhood_classes,
 )
